@@ -8,11 +8,12 @@ verification checks, 2 bad input or usage, 3 numerical solver failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json as _json
 import math
-import os
+import re
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -110,44 +111,68 @@ def _emit(document, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def read_samples_csv(path: str) -> SampleSet:
-    """Parse a two-column x,y CSV (header optional) into an equispaced
-    SampleSet, rejecting grids that do not match x_k = 2k/N - 1 to 1e-12."""
+    """Parse a two-column x,y CSV into an equispaced SampleSet, rejecting grids
+    that do not match x_k = 2k/N - 1 to 1e-12. The first non-blank line is a
+    header if its first cell is not a number; empty lines are skipped and
+    cells may be quoted with '"'. Errors cite the file's 1-based line."""
+    skip = 0  # lines before the first line given to loadtxt
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        with open(path, encoding="utf-8") as fh:
+            while not (line := fh.readline()).strip():
+                if not line:
+                    raise CliError(f"{path}: no data rows")
+                skip += 1
+            try:
+                float(line.split(",", 1)[0].strip().strip('"'))
+                fh.seek(0)  # no header: loadtxt reads the file from its start
+                skip = 0
+            except ValueError:
+                skip += 1  # the header
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise CliError(f"{path}: no data rows")
-    start = 0
-    try:
-        float(rows[0][0])
-    except (ValueError, IndexError):
-        start = 1
-    xs, ys = [], []
-    for lineno, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != 2:
-            raise CliError(f"{path}:{lineno}: expected two columns x,y, got {len(row)}")
-        try:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from exc
-    if len(xs) < 2:
+    except ValueError as exc:
+        raise _loadtxt_error(path, skip, str(exc)) from exc
+    if len(data) and data.shape[1] != 2:
+        raise _row_error(path, skip, 0, f"expected two columns x,y, got {data.shape[1]}")
+    if len(data) < 2:
         raise CliError(f"{path}: need at least two samples")
-    n = len(xs) - 1
+    x, n = data[:, 0], len(data) - 1
     expected = 2.0 * np.arange(n + 1) / n - 1.0
-    mismatch = np.abs(np.asarray(xs) - expected) > X_MATCH_TOL
+    mismatch = ~(np.abs(x - expected) <= X_MATCH_TOL)  # NaN is a mismatch
     if np.any(mismatch):
         k = int(np.argmax(mismatch))
         raise CliError(
-            f"{path}: x[{k}] = {xs[k]!r} does not match the equispaced grid "
-            f"point 2*{k}/{n} - 1 = {expected[k]!r} to {X_MATCH_TOL}"
+            f"{path}: x[{k}] = {float(x[k])!r} does not match the equispaced grid "
+            f"point 2*{k}/{n} - 1 = {float(expected[k])!r} to {X_MATCH_TOL}"
         )
     try:
-        return SampleSet(Grid(expected, GridKind.EQUISPACED), np.asarray(ys))
+        return SampleSet(Grid(expected, GridKind.EQUISPACED), np.ascontiguousarray(data[:, 1]))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _loadtxt_error(path: str, skip: int, msg: str) -> CliError:
+    """Restate a loadtxt error at the file line of the bad row. numpy counts
+    rows over non-empty lines, from 0 in conversion errors and from 1 in
+    column-count errors."""
+    if m := re.search(r"changed from (\d+) to (\d+) at row (\d+)", msg):
+        first, got, row = map(int, m.groups())
+        row, got = (0, first) if first != 2 else (row - 1, got)
+        return _row_error(path, skip, row, f"expected two columns x,y, got {got}")
+    if m := re.search(r"could not convert (string .*) to float64 at row (\d+), column (\d+)", msg):
+        return _row_error(path, skip, int(m[2]), f"column {m[3]}: could not convert {m[1]} to float")
+    return CliError(f"{path}: {msg}")
+
+
+def _row_error(path: str, skip: int, row: int, text: str) -> CliError:
+    """`text` cited at data row `row` (0-based over the non-empty lines after
+    the first `skip`), as path:line with the file's 1-based line number."""
+    with open(path, encoding="utf-8") as fh:
+        lines = (i for i, line in enumerate(fh, start=1) if i > skip and line != "\n")
+        return CliError(f"{path}:{next(itertools.islice(lines, row, None))}: {text}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,41 +341,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, io=True):
-        if io:
-            p.add_argument("--input", help="input CSV of x,y samples")
-            p.add_argument("--output", help="output file (defaults to stdout)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker thread hint (falls back to STABLE_EXTRAP_THREADS)")
+    def samples_command(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--input", help="input CSV of x,y samples")
+        p.add_argument("--output", help="output file (defaults to stdout)")
+        for flag in ("--rho", "--eps", "--Q"):
+            p.add_argument(flag, type=float)
+        return p
 
-    p_fit = sub.add_parser("fit", help="least-squares polynomial fit")
-    common(p_fit)
+    p_fit = samples_command("fit", "least-squares polynomial fit")
     p_fit.add_argument("--M", type=int, help="fit degree")
     p_fit.add_argument("--auto", action="store_true",
                        help="choose the degree from --rho/--eps/--Q")
-    p_fit.add_argument("--rho", type=float)
-    p_fit.add_argument("--eps", type=float)
-    p_fit.add_argument("--Q", type=float)
     p_fit.add_argument("--basis", choices=sorted(_BASIS_FLAGS), default="cheb")
     p_fit.add_argument("--gram", choices=[m.value for m in GramMethod], default=None)
 
-    p_ext = sub.add_parser("extrapolate", help="evaluate beyond [-1, 1] with bounds")
-    common(p_ext)
-    p_ext.add_argument("--rho", type=float)
-    p_ext.add_argument("--eps", type=float)
-    p_ext.add_argument("--Q", type=float)
+    p_ext = samples_command("extrapolate", "evaluate beyond [-1, 1] with bounds")
     p_ext.add_argument("--at", required=True,
                        help="comma-separated evaluation points in [1, (rho+1/rho)/2)")
 
     p_ver = sub.add_parser("verify", help="run a named inequality suite")
-    common(p_ver, io=False)
     p_ver.add_argument("--output", help="output file (defaults to stdout)")
     p_ver.add_argument("--suite", help=f"one of: {', '.join(verify.SUITE_NAMES)}")
     p_ver.add_argument("--M", type=int, default=None)
     p_ver.add_argument("--N", type=int, default=None)
 
     p_fig = sub.add_parser("figure", help="write experiment CSVs")
-    common(p_fig, io=False)
     p_fig.add_argument("--figure", type=int, help="figure id, 1-5")
     p_fig.add_argument("--output", help="output directory (default: .)")
     p_fig.add_argument("--rho", type=float)
@@ -358,22 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--seed", type=int, default=None)
 
     return parser
-
-
-def _apply_threads(args) -> None:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("STABLE_EXTRAP_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise CliError(f"bad STABLE_EXTRAP_THREADS={env!r}") from exc
-    if threads is not None:
-        if threads < 1:
-            raise CliError("--threads must be positive")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
 
 _COMMANDS = {
@@ -388,7 +388,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_threads(args)
         if getattr(args, "input", None) is None and args.command in ("fit", "extrapolate"):
             raise CliError(f"{args.command} needs --input")
         return _COMMANDS[args.command](args)

@@ -1,11 +1,20 @@
+import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stable_extrap
 from stable_extrap import GridKind, cheb_eval, make_grid
-from stable_extrap.cli import json_dumps, main, read_samples_csv
+from stable_extrap.cli import CliError, json_dumps, main, read_samples_csv
 
 RHO_SILVER = 1.0 + math.sqrt(2.0)
 
@@ -51,16 +60,114 @@ class TestReadSamples:
     def test_grid_mismatch_reports_first_offender(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n-1.0,0.0\n-0.4,0.0\n1.0,0.0\n")
-        from stable_extrap.cli import CliError
-        with pytest.raises(CliError, match=r"x\[1\]"):
+        with pytest.raises(CliError, match=r"x\[1\] = -0\.4 does not match .* = 0\.0 to"):
             read_samples_csv(str(path))
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n-1.0,0.0,9\n1.0,0.0,9\n")
-        from stable_extrap.cli import CliError
         with pytest.raises(CliError, match="two columns"):
             read_samples_csv(str(path))
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("0.0,abc", r":5: column 2: could not convert string 'abc' to float"),
+        ("0.0,1.0,2.0", r":5: expected two columns x,y, got 3"),
+        ("0.0", r":5: expected two columns x,y, got 1"),
+    ])
+    def test_error_cites_file_line_below_blank_lines(self, tmp_path, bad_row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"\nx,y\n-1.0,0.0\n\n{bad_row}\n1.0,0.0\n")
+        with pytest.raises(CliError, match=message):
+            read_samples_csv(str(path))
+
+    def test_bad_first_data_row_cites_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n\n-1.0\n0.0,0.0\n1.0,0.0\n")
+        with pytest.raises(CliError, match=r":3: expected two columns x,y, got 1"):
+            read_samples_csv(str(path))
+
+
+def _oracle_values(text: str) -> np.ndarray:
+    """The y column as the stdlib csv module and float() read it."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    try:
+        float(rows[0][0])
+    except ValueError:
+        rows = rows[1:]
+    return np.array([float(y) for _, y in rows])
+
+
+_Y_FORMATS = (repr, lambda v: "%.17g" % v, lambda v: "%.6e" % v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ys=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40),
+    formats=st.lists(st.sampled_from(_Y_FORMATS), min_size=40, max_size=40),
+    blanks=st.lists(st.booleans(), min_size=41, max_size=41),
+    header=st.booleans(),
+    eol=st.sampled_from(["\n", "\r\n"]),
+)
+def test_reader_matches_csv_float_oracle(tmp_path_factory, ys, formats, blanks, header, eol):
+    grid = make_grid(GridKind.EQUISPACED, len(ys) - 1)
+    lines = ["x,y"] if header else []
+    for k, (x, y) in enumerate(zip(grid.points.tolist(), ys)):
+        lines += [""] * blanks[k] + [f"{x!r},{formats[k](y)}"]
+    text = eol.join(lines + [""] * blanks[-1]) + eol
+    path = tmp_path_factory.mktemp("parity") / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = read_samples_csv(str(path)).values
+    want = _oracle_values(text)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBadInput:
+    """Input faults go through main and exit 2 with a message naming them."""
+
+    def run(self, tmp_path, capsys, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        code = main(["fit", "--input", str(path), "--M", "0",
+                     "--output", str(tmp_path / "o.json")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_cell(self, tmp_path, capsys, cell, column):
+        row = [cell, "1.0"] if column == 0 else ["0.0", cell]
+        code, err = self.run(tmp_path, capsys, f"x,y\n-1.0,1.0\n{','.join(row)}\n1.0,1.0\n")
+        assert code == 2
+        assert ("x[1] = " in err) if column == 0 else ("must be finite" in err)
+
+    def test_header_only(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, "x,y\n\n")
+        assert code == 2 and "need at least two samples" in err
+
+    def test_empty_file(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, "\n\n")
+        assert code == 2 and "no data rows" in err
+
+    def test_one_row(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, "x,y\n-1.0,1.0\n")
+        assert code == 2 and "need at least two samples" in err
+
+    def test_comment_line_rejected(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, "x,y\n-1.0,1.0\n# note\n1.0,1.0\n")
+        assert code == 2 and ":3: expected two columns x,y, got 1" in err
+
+    def test_quoted_cells_parse(self, tmp_path, capsys):
+        path = tmp_path / "q.csv"
+        path.write_text('"x","y"\n"-1.0","0.5"\n0.0,"0.25"\n"1.0",2.0\n')
+        assert np.array_equal(read_samples_csv(str(path)).values, [0.5, 0.25, 2.0])
+        code, err = self.run(tmp_path, capsys, path.read_text())
+        assert code == 0 and err == ""
+
+    def test_n_equals_one_accepted(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, "-1.0,1.0\n1.0,3.0\n")
+        assert code == 0 and err == ""
+        doc = json.loads((tmp_path / "o.json").read_text())
+        assert doc["N"] == 1
+        np.testing.assert_allclose(doc["coeffs"], [2.0], rtol=1e-15)
 
 
 class TestFitCommand:
@@ -251,17 +358,28 @@ class TestFigureCommand:
 
 
 class TestThreads:
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STABLE_EXTRAP_THREADS", "2")
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"
         write_samples(csv_path, 16, np.cos)
-        assert main(["fit", "--input", str(csv_path), "--M", "2",
-                     "--output", str(tmp_path / "o.json")]) == 0
-        import os
-        assert os.environ["OMP_NUM_THREADS"] == "2"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", str(csv_path), "--M", "2", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
-    def test_bad_env_value_exits_2(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("STABLE_EXTRAP_THREADS", "zebra")
-        csv_path = tmp_path / "s.csv"
-        write_samples(csv_path, 16, np.cos)
-        assert main(["fit", "--input", str(csv_path), "--M", "2"]) == 2
+
+def test_entry_point_matches_in_process_main(tmp_path, capsys):
+    """`python -m stable_extrap.cli` in a fresh interpreter prints the same
+    bytes as main() in this one."""
+    csv_path = tmp_path / "f.csv"
+    write_samples(csv_path, 10 ** 4, lambda x: 1.0 / (1.0 + x ** 2))
+    args = ["extrapolate", "--input", str(csv_path), "--rho", repr(RHO_SILVER),
+            "--eps", "1e-12", "--Q", "1", "--at", "1.0,1.1,1.2"]
+    assert main(args) == 0
+    in_process = capsys.readouterr().out
+    src = str(Path(stable_extrap.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "stable_extrap.cli", *args],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == in_process.encode("utf-8")
