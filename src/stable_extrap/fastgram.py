@@ -28,6 +28,9 @@ __all__ = [
     "rhs",
 ]
 
+# Largest |x_k + x_{N-k}| that rhs accepts as a mirror-symmetric grid.
+_MIRROR_TOL = 1e-15
+
 # B_{s+1}/(s+1)! for odd s; even-order corrections vanish identically.
 _EXACT_WEIGHTS = {
     1: 1.0 / 12.0,
@@ -180,12 +183,28 @@ def gram_fast(m_degree: int, n_samples: int,
                       correction_terms=err, subsampled_warning=subsampled)
 
 
-def rhs(grid: Grid, samples, m_degree: int, chunk: int = 65536) -> np.ndarray:
-    """Right-hand side T_M(x)^T y by streaming the Chebyshev recurrence.
+def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
+    """Right-hand side T_M(x)^T y over the left half of a mirrored grid.
 
-    Runs the three-term recurrence over grid chunks, accumulating one
-    pairwise-summed dot product per degree, so the cost is O(MN) time with
-    O(M + chunk) extra space and a fixed summation order.
+    The grid must be mirror-symmetric, |x_k + x_{N-k}| <= 1e-15 (make_grid's
+    equispaced grid is, to about 1e-16), so T_m(x_{N-k}) = (-1)^m T_m(x_k).
+    The samples are folded into s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k}
+    for k < N/2, with the middle point of an even N counted once
+    (s = d = y_{N/2}). Even degrees accumulate T_m(x_k) s_k and odd degrees
+    T_m(x_k) d_k, so the three-term recurrence runs over only
+    ceil((N+1)/2) points: about MN/2 multiply-adds, done in place in
+    preallocated buffers of `chunk` points, so the extra space is
+    O(M + chunk). Mirrored samples give odd-degree entries, and
+    antisymmetric samples even-degree entries, that are exactly zero.
+
+    Each chunk is reduced by numpy's own single-threaded kernels in a fixed
+    order (np.sum for degree 0, einsum for the others), never by BLAS,
+    whose dot product splits long vectors across threads; the bits
+    therefore do not depend on the number of BLAS threads.
+
+    Raises ValueError naming the first offending k if the grid is not
+    mirror-symmetric, and ValueError if the sample count differs from the
+    grid's, if M < 0 or if chunk < 1.
     """
     y = np.asarray(samples, dtype=float)
     x = grid.points
@@ -195,17 +214,42 @@ def rhs(grid: Grid, samples, m_degree: int, chunk: int = 65536) -> np.ndarray:
         )
     if m_degree < 0:
         raise ValueError("degree must be nonnegative")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
+    n = x.size - 1
+    half = n // 2 + 1
+    x_mirror, y_mirror = x[::-1], y[::-1]
+    width = min(chunk, half)
+    s_buf, d_buf, x2_buf, t_a, t_b, t_c = (np.empty(width) for _ in range(6))
     b = np.zeros(m_degree + 1)
-    for lo in range(0, x.size, chunk):
-        xc = x[lo:lo + chunk]
-        yc = y[lo:lo + chunk]
-        b[0] += float(np.sum(yc))
+    for lo in range(0, half, chunk):
+        hi = min(lo + chunk, half)
+        xc, yc, ym = x[lo:hi], y[lo:hi], y_mirror[lo:hi]
+        w = hi - lo
+        s, d, x2 = s_buf[:w], d_buf[:w], x2_buf[:w]
+        np.add(xc, x_mirror[lo:hi], out=s)
+        np.abs(s, out=s)
+        if not s.max() <= _MIRROR_TOL:
+            k = lo + int(np.flatnonzero(~(s <= _MIRROR_TOL))[0])
+            raise ValueError(
+                f"grid is not mirror-symmetric: |x[{k}] + x[{n - k}]| = "
+                f"{abs(x[k] + x[n - k]):.3e} > {_MIRROR_TOL:g}"
+            )
+        np.add(yc, ym, out=s)
+        np.subtract(yc, ym, out=d)
+        if hi == half and n % 2 == 0:
+            s[-1] = d[-1] = y[n // 2]
+        b[0] += s.sum()
         if m_degree == 0:
             continue
-        t_prev = np.ones_like(xc)
-        t_cur = xc
-        b[1] += float(np.sum(xc * yc))
+        t_prev, t_cur, t_next = t_a[:w], t_b[:w], t_c[:w]
+        t_prev.fill(1.0)
+        t_cur[:] = xc
+        np.multiply(xc, 2.0, out=x2)
+        b[1] += np.einsum("i,i->", t_cur, d)
         for k in range(2, m_degree + 1):
-            t_prev, t_cur = t_cur, 2.0 * xc * t_cur - t_prev
-            b[k] += float(np.sum(t_cur * yc))
+            np.multiply(x2, t_cur, out=t_next)
+            t_next -= t_prev
+            t_prev, t_cur, t_next = t_cur, t_next, t_prev
+            b[k] += np.einsum("i,i->", t_cur, d if k % 2 else s)
     return b

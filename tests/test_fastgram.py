@@ -1,12 +1,19 @@
+import inspect
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stable_extrap
 from stable_extrap import (
     Basis,
     BernoulliWeights,
+    Grid,
     GridKind,
     design_matrix,
     gram_fast,
@@ -25,6 +32,19 @@ def bernoulli_numbers(count):
         total = sum(Fraction(math.comb(n + 1, j)) * b[j] for j in range(n))
         b.append(-total / (n + 1))
     return b
+
+
+# Odd and even N, from the smallest grids up: the fold pairs x_k with x_{N-k},
+# and an even N leaves a middle point that is counted once.
+FOLD_N = (1, 2, 3, 4, 5, 10, 11, 100, 101, 1000, 1001, 2999, 3000)
+
+
+def fold_chunks(n):
+    """Chunk sizes for an N-point fold over h = ceil((N+1)/2) points: one
+    point per chunk, h-1 (an even N's middle point alone in the last chunk),
+    h (the middle point inside the only chunk) and one oversized chunk."""
+    h = n // 2 + 1
+    return sorted({1, max(h - 1, 1), h, 10 ** 9})
 
 
 class TestBernoulliWeights:
@@ -170,19 +190,67 @@ class TestRhs:
         assert b[1] == pytest.approx(float(np.sum(grid.points ** 2)), rel=1e-15)
 
     def test_matches_dense_product(self):
-        rng = np.random.default_rng(5)
-        grid = make_grid(GridKind.EQUISPACED, 1000)
-        y = rng.normal(size=1001)
-        v = design_matrix(grid, 20, Basis.CHEBYSHEV)
-        dense = v.entries.T @ y
-        np.testing.assert_allclose(rhs(grid, y, 20), dense, rtol=1e-11)
+        for n in FOLD_N:
+            grid = make_grid(GridKind.EQUISPACED, n)
+            y = np.random.default_rng(5).normal(size=n + 1)
+            for m_deg in sorted({0, 1, 2, min(n, 20), min(n, 40)}):
+                v = design_matrix(grid, m_deg, Basis.CHEBYSHEV)
+                dense = v.entries.T @ y
+                for chunk in fold_chunks(n):
+                    np.testing.assert_allclose(
+                        rhs(grid, y, m_deg, chunk=chunk), dense, rtol=1e-11,
+                        err_msg=f"N={n}, M={m_deg}, chunk={chunk}")
 
     def test_chunking_does_not_change_result(self):
-        rng = np.random.default_rng(9)
-        grid = make_grid(GridKind.EQUISPACED, 3000)
-        y = rng.normal(size=3001)
-        full = rhs(grid, y, 7, chunk=10 ** 9)
-        np.testing.assert_allclose(rhs(grid, y, 7, chunk=128), full, rtol=1e-13)
+        for n in (2999, 3000):
+            grid = make_grid(GridKind.EQUISPACED, n)
+            y = np.random.default_rng(9).normal(size=n + 1)
+            full = rhs(grid, y, 7, chunk=10 ** 9)
+            for chunk in (128, *fold_chunks(n)):
+                np.testing.assert_allclose(
+                    rhs(grid, y, 7, chunk=chunk), full, rtol=1e-13,
+                    err_msg=f"N={n}, chunk={chunk}")
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected(self, chunk):
+        grid = make_grid(GridKind.EQUISPACED, 16)
+        with pytest.raises(ValueError, match="chunk must be at least 1"):
+            rhs(grid, np.ones(17), 3, chunk=chunk)
+
+    @pytest.mark.parametrize("moved, first_k", [(3, 3), (8, 2)])
+    def test_asymmetric_grid_rejected(self, moved, first_k):
+        pts = make_grid(GridKind.EQUISPACED, 10).points.copy()
+        pts[moved] += 1e-3
+        grid = Grid(pts, GridKind.EQUISPACED)
+        with pytest.raises(ValueError,
+                           match=rf"mirror-symmetric: \|x\[{first_k}\] \+ x\[{10 - first_k}\]\|"):
+            rhs(grid, np.ones(11), 2, chunk=1)
+
+    def test_bits_independent_of_blas_threads(self):
+        """OpenBLAS splits dot products longer than about 1e4 across threads;
+        with chunks longer than that, rhs must still give the same bits under
+        one and two BLAS threads."""
+        n, m_deg = 300_000, 10
+        chunk = inspect.signature(rhs).parameters["chunk"].default
+        assert chunk > 10 ** 4 and (n // 2 + 1) // chunk >= 3
+        script = (
+            "import hashlib, numpy as np\n"
+            "from stable_extrap import GridKind, make_grid, rhs\n"
+            f"grid = make_grid(GridKind.EQUISPACED, {n})\n"
+            f"y = np.random.default_rng(3).normal(size={n + 1})\n"
+            f"print(hashlib.sha1(rhs(grid, y, {m_deg}).tobytes()).hexdigest())\n"
+        )
+        src = str(Path(stable_extrap.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_length_mismatch_rejected(self):
         grid = make_grid(GridKind.EQUISPACED, 4)

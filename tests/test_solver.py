@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stable_extrap import (
     Basis,
     ChebyshevSeries,
     GramMethod,
+    Grid,
     GridKind,
     LegendreSeries,
     SampleSet,
@@ -179,6 +182,15 @@ class TestFit:
         result = fit(samples, 5)  # falls back to the dense route
         assert result.method == GramMethod.NAIVE
 
+    def test_fast_gram_rejects_asymmetric_grid_labelled_equispaced(self):
+        # Increasing points that are not mirror-symmetric would pair the
+        # equispaced Gram with a right-hand side taken at other points.
+        grid = Grid(np.linspace(-1.0, 0.9, 101), GridKind.EQUISPACED)
+        samples = SampleSet(grid, np.cos(grid.points))
+        for method in (GramMethod.FAST, None):
+            with pytest.raises(ValueError, match=r"mirror-symmetric: \|x\[0\] \+ x\[100\]\|"):
+                fit(samples, 5, gram_method=method)
+
     def test_warns_past_conditioning_boundary(self):
         samples = equispaced_samples(np.cos, 100)
         with pytest.warns(UserWarning, match="sqrt"):
@@ -199,3 +211,28 @@ class TestFit:
         naive = fit(samples, 8, gram_method=GramMethod.NAIVE)
         np.testing.assert_allclose(fast.series.coeffs, naive.series.coeffs,
                                    rtol=1e-10, atol=1e-14)
+
+
+class TestParity:
+    """On the mirrored equispaced grid the Gram's odd-parity entries are zero
+    and the folded right-hand side of mirrored (antisymmetric) samples has
+    exactly zero odd (even) entries, so the Cholesky solve keeps the other
+    parity's coefficients exactly zero."""
+
+    @pytest.mark.parametrize("n_parity", [0, 1], ids=["N+1 even", "N+1 odd"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["mirrored", "antisymmetric"])
+    @given(pairs=st.integers(1, 2500), seed=st.integers(0, 2 ** 32 - 1),
+           m_frac=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_other_parity_coefficients_exactly_zero(self, sign, n_parity, pairs, seed, m_frac):
+        n = 2 * pairs - 1 + n_parity  # N odd: no middle point; N even: one
+        m_deg = int(m_frac * 0.5 * math.sqrt(n))
+        rng = np.random.default_rng(seed)
+        left = rng.normal(size=pairs)
+        middle = rng.normal(size=n + 1 - 2 * pairs)
+        if sign < 0:
+            middle[:] = 0.0  # an antisymmetric middle sample is zero
+        y = np.concatenate([left, middle, sign * left[::-1]])
+        coeffs = fit(SampleSet(make_grid(GridKind.EQUISPACED, n), y), m_deg).series.coeffs
+        other_parity = coeffs[1::2] if sign > 0 else coeffs[0::2]
+        assert np.all(other_parity == 0.0), other_parity
