@@ -30,6 +30,8 @@ __all__ = [
 
 # Largest |x_k + x_{N-k}| that rhs accepts as a mirror-symmetric grid.
 _MIRROR_TOL = 1e-15
+# Largest |x_k - (2k/N - 1)| that rhs accepts as equispaced (cli.X_MATCH_TOL).
+_GRID_TOL = 1e-12
 
 # B_{s+1}/(s+1)! for odd s; even-order corrections vanish identically.
 _EXACT_WEIGHTS = {
@@ -187,7 +189,9 @@ def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
     """Right-hand side T_M(x)^T y over the left half of a mirrored grid.
 
     The grid must be mirror-symmetric, |x_k + x_{N-k}| <= 1e-15 (make_grid's
-    equispaced grid is, to about 1e-16), so T_m(x_{N-k}) = (-1)^m T_m(x_k).
+    equispaced grid is, to about 1e-16), so T_m(x_{N-k}) = (-1)^m T_m(x_k),
+    and its left half must be equispaced, |x_k - (2k/N - 1)| <= 1e-12, as the
+    fast Gram assumes; the mirror check carries that to the right half.
     The samples are folded into s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k}
     for k < N/2, with the middle point of an even N counted once
     (s = d = y_{N/2}). Even degrees accumulate T_m(x_k) s_k and odd degrees
@@ -203,8 +207,9 @@ def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
     therefore do not depend on the number of BLAS threads.
 
     Raises ValueError naming the first offending k if the grid is not
-    mirror-symmetric, and ValueError if the sample count differs from the
-    grid's, if M < 0 or if chunk < 1.
+    mirror-symmetric or not equispaced (the mirror check comes first), and
+    ValueError if the grid has fewer than two points, if the sample count
+    differs from the grid's, if M < 0 or if chunk < 1.
     """
     y = np.asarray(samples, dtype=float)
     x = grid.points
@@ -217,10 +222,13 @@ def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
     n = x.size - 1
+    if n < 1:
+        raise ValueError("an equispaced grid needs N >= 1")
     half = n // 2 + 1
     x_mirror, y_mirror = x[::-1], y[::-1]
     width = min(chunk, half)
     s_buf, d_buf, x2_buf, t_a, t_b, t_c = (np.empty(width) for _ in range(6))
+    ramp = 2.0 * np.arange(width) / n - 1.0  # the grid's first `width` points
     b = np.zeros(m_degree + 1)
     for lo in range(0, half, chunk):
         hi = min(lo + chunk, half)
@@ -234,6 +242,15 @@ def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
             raise ValueError(
                 f"grid is not mirror-symmetric: |x[{k}] + x[{n - k}]| = "
                 f"{abs(x[k] + x[n - k]):.3e} > {_MIRROR_TOL:g}"
+            )
+        np.subtract(xc, ramp[:w], out=d)
+        d -= 2.0 * lo / n
+        np.abs(d, out=d)
+        if not d.max() <= _GRID_TOL:
+            k = lo + int(np.flatnonzero(~(d <= _GRID_TOL))[0])
+            raise ValueError(
+                f"grid is not equispaced: |x[{k}] - (2*{k}/{n} - 1)| = "
+                f"{abs(x[k] - (2.0 * k / n - 1.0)):.3e} > {_GRID_TOL:g}"
             )
         np.add(yc, ym, out=s)
         np.subtract(yc, ym, out=d)

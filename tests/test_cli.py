@@ -367,6 +367,20 @@ class TestThreads:
         assert "--threads" in capsys.readouterr().err
 
 
+def test_import_loads_no_scipy():
+    """The package runs on numpy alone; importing scipy would cost most of
+    the start-up time again."""
+    src = str(Path(stable_extrap.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys, stable_extrap, stable_extrap.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
+
+
 def test_entry_point_matches_in_process_main(tmp_path, capsys):
     """`python -m stable_extrap.cli` in a fresh interpreter prints the same
     bytes as main() in this one."""

@@ -226,6 +226,41 @@ class TestRhs:
                            match=rf"mirror-symmetric: \|x\[{first_k}\] \+ x\[{10 - first_k}\]\|"):
             rhs(grid, np.ones(11), 2, chunk=1)
 
+    def test_chebyshev_points_labelled_equispaced_rejected(self):
+        # Mirror-symmetric but not equispaced: the mirror check passes and
+        # the equispacing check names the first point.
+        pts = make_grid(GridKind.CHEBYSHEV_FIRST_KIND, 400).points
+        assert np.max(np.abs(pts + pts[::-1])) <= 1e-15
+        grid = Grid(pts, GridKind.EQUISPACED)
+        with pytest.raises(ValueError, match=r"not equispaced: \|x\[0\] - \(2\*0/400 - 1\)\|"):
+            rhs(grid, np.exp(pts), 10)
+
+    @pytest.mark.parametrize("moved, k", [(2, 2), (9, 1)])
+    def test_non_equispaced_point_named(self, moved, k):
+        # Moving x[2] and x[8] (or x[1] and x[9]) together keeps the grid
+        # mirror-symmetric; the offender is named by its left-half index.
+        pts = make_grid(GridKind.EQUISPACED, 10).points.copy()
+        pts[moved] += 1e-3
+        pts[10 - moved] -= 1e-3
+        with pytest.raises(ValueError, match=rf"not equispaced: \|x\[{k}\] - \(2\*{k}/10 - 1\)\|"):
+            rhs(Grid(pts, GridKind.EQUISPACED), np.ones(11), 2, chunk=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 400, 40_001])
+    def test_linspace_grid_accepted(self, n):
+        # np.linspace is off from 2k/N - 1 by at most a few ulps.
+        pts = np.linspace(-1.0, 1.0, n + 1)
+        assert np.max(np.abs(pts - make_grid(GridKind.EQUISPACED, n).points)) <= 2.3e-16
+        y = np.random.default_rng(n).normal(size=n + 1)
+        m_deg = min(n, 10)
+        np.testing.assert_allclose(
+            rhs(Grid(pts, GridKind.EQUISPACED), y, m_deg, chunk=1000),
+            rhs(make_grid(GridKind.EQUISPACED, n), y, m_deg, chunk=1000),
+            rtol=1e-12, atol=1e-12 * n)
+
+    def test_single_point_grid_rejected(self):
+        with pytest.raises(ValueError, match="N >= 1"):
+            rhs(Grid(np.zeros(1), GridKind.EQUISPACED), np.ones(1), 0)
+
     def test_bits_independent_of_blas_threads(self):
         """OpenBLAS splits dot products longer than about 1e4 across threads;
         with chunks longer than that, rhs must still give the same bits under

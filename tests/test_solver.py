@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stable_extrap
 from stable_extrap import (
     Basis,
     ChebyshevSeries,
@@ -26,6 +31,7 @@ from stable_extrap import (
     psi_table,
     spectral_report,
 )
+from stable_extrap.solver import _solve_spd
 
 
 def equispaced_samples(fn, n):
@@ -191,6 +197,15 @@ class TestFit:
             with pytest.raises(ValueError, match=r"mirror-symmetric: \|x\[0\] \+ x\[100\]\|"):
                 fit(samples, 5, gram_method=method)
 
+    def test_fast_gram_rejects_chebyshev_points_labelled_equispaced(self):
+        # First-kind Chebyshev points are mirror-symmetric, so only the
+        # equispacing check in rhs stands between them and a fit that pairs
+        # the equispaced Gram with samples taken elsewhere.
+        pts = make_grid(GridKind.CHEBYSHEV_FIRST_KIND, 400).points
+        samples = SampleSet(Grid(pts, GridKind.EQUISPACED), np.exp(pts))
+        with pytest.raises(ValueError, match=r"not equispaced: \|x\[0\] - \(2\*0/400 - 1\)\|"):
+            fit(samples, 10)
+
     def test_warns_past_conditioning_boundary(self):
         samples = equispaced_samples(np.cos, 100)
         with pytest.warns(UserWarning, match="sqrt"):
@@ -204,6 +219,44 @@ class TestFit:
         with pytest.warns(UserWarning):
             with pytest.raises(SolverError, match="M=40, N=40"):
                 fit(samples, 40)
+
+    def test_shift_retry_solves_singular_psd(self):
+        # [[1, 1], [1, 1]] is semidefinite: the plain Cholesky fails and the
+        # 1e-14*trace shift makes it definite.
+        coeffs, shifted = _solve_spd(np.ones((2, 2)), np.array([1.0, 1.0]), 1, 1)
+        assert shifted
+        assert np.all(np.isfinite(coeffs))
+        np.testing.assert_allclose(np.ones((2, 2)) @ coeffs, [1.0, 1.0], rtol=1e-12)
+
+    def test_bits_independent_of_blas_threads(self):
+        """LAPACK's Cholesky and eigvalsh give the same sigma_min and fit
+        coefficients under one and two BLAS threads at the benchmark's
+        largest degree (M = 125, N = 62500) and at M = 27."""
+        n = 62_500
+        script = (
+            "import hashlib, numpy as np\n"
+            "from stable_extrap import (GridKind, SampleSet, fit, gram_fast,\n"
+            "                           make_grid, spectral_report)\n"
+            f"grid = make_grid(GridKind.EQUISPACED, {n})\n"
+            "y = 1.0 / (1.0 + 25.0 * grid.points ** 2)\n"
+            "for m in (27, 125):\n"
+            f"    sigma = spectral_report(gram_fast(m, {n}).matrix).sigma_min\n"
+            "    coeffs = fit(SampleSet(grid, y), m).series.coeffs\n"
+            "    print(hashlib.sha1(np.float64(sigma).tobytes()).hexdigest(),\n"
+            "          hashlib.sha1(coeffs.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(stable_extrap.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout.strip())
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1]
 
     def test_naive_chebyshev_matches_fast(self):
         samples = equispaced_samples(lambda x: np.exp(x), 256)

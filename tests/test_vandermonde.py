@@ -10,6 +10,7 @@ from stable_extrap import (
     cheb_eval,
     design_matrix,
     dominant_eigenvalue,
+    gram_fast,
     gram_naive,
     jacobi_eigenvalues,
     lebesgue_constant,
@@ -130,6 +131,19 @@ class TestSpectralReport:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             spectral_report(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_lapack_matches_jacobi_on_fast_grams(self):
+        # LAPACK's error is absolute (about eps*||G||); the fast Gram's
+        # kappa <= 187.5(2M+1) keeps it relative for sigma_min as well. The
+        # sweep ends at M = 150 and takes in M = 125, N = 62500.
+        worst = 0.0
+        for m_deg in range(1, 151):
+            g = gram_fast(m_deg, 4 * m_deg * m_deg).matrix
+            rep = spectral_report(g)
+            lam = jacobi_eigenvalues(g)
+            for got, ref in ((rep.sigma_min, lam[0]), (rep.sigma_max, lam[-1])):
+                worst = max(worst, abs(got - math.sqrt(ref)) / math.sqrt(ref))
+        assert worst <= 1e-12, worst
 
 
 class TestLebesgueConstant:
