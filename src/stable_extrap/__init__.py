@@ -25,6 +25,7 @@ from .vandermonde import (
     SpectralReport,
     design_matrix,
     dominant_eigenvalue,
+    dominant_singular_value,
     gram_naive,
     jacobi_eigenvalues,
     lebesgue_constant,

@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import SampleSet, cheb_eval, clenshaw_eval
-from .fastgram import GramMethod, gram_fast
+from .fastgram import GramMethod
+from .fastgram import gram_fast  # unused; the benchmark tracer wraps it (ROADMAP item 6)
 from .solver import FitResult, fit
 from .vandermonde import spectral_report
 
@@ -180,7 +181,7 @@ def extrapolate(samples: SampleSet, params: ProblemParams, xs,
     if use_guaranteed_sigma:
         sigma_min = math.sqrt(2.0 * params.n_samples / (125.0 * (2 * m_star + 1)))
     else:
-        sigma_min = spectral_report(gram_fast(m_star, params.n_samples).matrix).sigma_min
+        sigma_min = spectral_report(fit_result.gram).sigma_min
 
     points = []
     for x, (r, alpha) in zip(xs, pairs):

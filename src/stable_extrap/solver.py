@@ -19,9 +19,10 @@ from .fastgram import GramMethod, gram_fast, rhs
 from .vandermonde import (
     Basis,
     design_matrix,
-    dominant_eigenvalue,
+    dominant_eigenvalue,  # unused; the benchmark tracer wraps it (ROADMAP item 6)
+    dominant_singular_value,
     gram_naive,
-    jacobi_eigenvalues,
+    jacobi_eigenvalues,  # unused; the benchmark tracer wraps it (ROADMAP item 6)
     spectral_report,
 )
 
@@ -36,10 +37,6 @@ __all__ = [
     "legendre_to_chebyshev",
 ]
 
-# Above this size a full Jacobi pass for one extreme eigenvalue is wasteful;
-# the power iteration is exact for these nonnegative matrices.
-_JACOBI_SIZE_LIMIT = 150
-
 
 class SolverError(RuntimeError):
     """Numerical failure while solving the normal equations."""
@@ -52,6 +49,7 @@ class FitResult:
     n_samples: int
     gram_cond_estimate: float | None
     method: GramMethod
+    gram: np.ndarray  # the normal-equation matrix that was solved, read-only
     warnings: tuple[str, ...] = ()
 
 
@@ -60,8 +58,10 @@ class BasisChangeMatrix:
     """Upper-triangular map from Legendre to Chebyshev coefficients.
 
     Entries are nonnegative, zero below the diagonal and on odd-parity
-    positions, with a unit (0, 0) corner; the 2-norm stays below 5 for
-    every size.
+    positions (i + j odd), with a unit (0, 0) corner; the 2-norm stays below
+    5 for every size. The parity zeros make S, S^T S and (S + S^T)/2
+    block-diagonal over the even and the odd indices, so each extreme
+    eigenvalue is the larger of the two blocks' values.
     """
 
     entries: np.ndarray
@@ -70,13 +70,21 @@ class BasisChangeMatrix:
     def degree(self) -> int:
         return self.entries.shape[0] - 1
 
+    def parity_blocks(self) -> tuple[np.ndarray, ...]:
+        """The nonempty even-index and odd-index blocks, as contiguous copies.
+
+        Raises ValueError if an odd-parity entry is nonzero, because the
+        blocks would then not carry the whole matrix.
+        """
+        s = self.entries
+        if np.any(s[0::2, 1::2]) or np.any(s[1::2, 0::2]):
+            raise ValueError("basis-change matrix has a nonzero odd-parity entry")
+        return tuple(np.ascontiguousarray(s[p::2, p::2])
+                     for p in (0, 1) if s.shape[0] > p)
+
     def norm2(self) -> float:
-        g = self.entries.T @ self.entries
-        if g.shape[0] <= _JACOBI_SIZE_LIMIT:
-            lam_max = float(jacobi_eigenvalues(g)[-1])
-        else:
-            lam_max = dominant_eigenvalue(g)
-        return math.sqrt(max(lam_max, 0.0))
+        """||S||_2, the larger of the parity blocks' top singular values."""
+        return max(dominant_singular_value(b) for b in self.parity_blocks())
 
 
 def psi(i: int) -> float:
@@ -110,9 +118,10 @@ def basis_change_matrix(m_degree: int) -> BasisChangeMatrix:
     s = np.zeros((m_degree + 1, m_degree + 1))
     for j in range(0, m_degree + 1, 2):
         s[0, j] = table[j // 2] ** 2 / math.pi
-    for j in range(1, m_degree + 1):
-        for i in range(2 - (j % 2), j + 1, 2):
-            s[i, j] = 2.0 / math.pi * table[(j - i) // 2] * table[(j + i) // 2]
+    for i in range(1, m_degree + 1):
+        # Row i holds S[i, i + 2h] = (2/pi) psi(h) psi(i + h).
+        h = np.arange((m_degree - i) // 2 + 1)
+        s[i, i::2] = 2.0 / math.pi * table[h] * table[h + i]
     return BasisChangeMatrix(s)
 
 
@@ -197,7 +206,8 @@ def fit(samples: SampleSet, m_degree: int, basis: Basis = Basis.CHEBYSHEV,
 
     series = (ChebyshevSeries(coeffs) if basis == Basis.CHEBYSHEV
               else LegendreSeries(coeffs))
-    return FitResult(series, m_degree, n, cond, gram_method, tuple(notes))
+    g.setflags(write=False)
+    return FitResult(series, m_degree, n, cond, gram_method, g, tuple(notes))
 
 
 def _cholesky_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:

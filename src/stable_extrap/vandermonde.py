@@ -3,10 +3,14 @@
 spectral_report, which fit and extrapolate use for sigma_min, takes the
 extreme eigenvalues from LAPACK's symmetric eigensolver (np.linalg.eigvalsh).
 Its bits are the same under 1 and 2 BLAS threads up to M = 125 (tested), and
-differ at M = 300 and 600. The certification checks keep the cyclic Jacobi
-iteration with its deterministic round-robin rotation order, and the power
-iteration, both defined here; their results do not depend on thread count or
-BLAS build.
+differ at M = 300 and 600. The cyclic Jacobi iteration defined here, with its
+deterministic round-robin rotation order, serves the one certification check
+whose matrix is too ill conditioned for LAPACK's absolute accuracy (the
+interpolation sandwich). The power iteration serves the basis-change norms:
+dominant_eigenvalue applies a symmetric matrix, dominant_singular_value
+applies b^T (b v) without forming b^T b. Each step is one or two
+matrix-vector products, whose bits did not depend on the BLAS thread count
+in the tests (a matrix-matrix product's did).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "gram_naive",
     "jacobi_eigenvalues",
     "dominant_eigenvalue",
+    "dominant_singular_value",
     "spectral_report",
     "lebesgue_constant",
 ]
@@ -188,6 +193,27 @@ def jacobi_eigenvalues(a, rel_tol: float = 1e-13, max_sweeps: int = 100) -> np.n
     return np.sort(np.diagonal(a).copy())
 
 
+def _power_iteration(matvec, n: int, rel_tol: float, max_iter: int) -> float:
+    """Dominant eigenvalue of the symmetric operator v -> matvec(v).
+
+    Deterministic iteration from the all-ones direction; stops when the
+    residual ||A v - theta v|| falls below rel_tol * |theta|.
+    """
+    v = np.full(n, 1.0 / math.sqrt(n))
+    theta = 0.0
+    for _ in range(max_iter):
+        w = matvec(v)
+        theta = float(v @ w)
+        resid = float(np.linalg.norm(w - theta * v))
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        if resid <= rel_tol * max(abs(theta), 1e-300):
+            return theta
+    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+
+
 def dominant_eigenvalue(a: np.ndarray, rel_tol: float = 1e-13,
                         max_iter: int = 100000) -> float:
     """Largest eigenvalue of a symmetric matrix with nonnegative entries.
@@ -198,20 +224,22 @@ def dominant_eigenvalue(a: np.ndarray, rel_tol: float = 1e-13,
     spectrum is needed and a full Jacobi pass would be wasteful.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    theta = 0.0
-    for _ in range(max_iter):
-        w = a @ v
-        theta = float(v @ w)
-        resid = float(np.linalg.norm(w - theta * v))
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if resid <= rel_tol * max(abs(theta), 1e-300):
-            return theta
-    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+    return _power_iteration(lambda v: a @ v, a.shape[0], rel_tol, max_iter)
+
+
+def dominant_singular_value(b: np.ndarray, rel_tol: float = 1e-13,
+                            max_iter: int = 100000) -> float:
+    """Largest singular value of a matrix with nonnegative entries.
+
+    The power iteration of dominant_eigenvalue on b^T b, applied as
+    b^T (b v): the Gram is never formed, so no matrix-matrix product (whose
+    BLAS rounding depends on the thread count) enters the result.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 2:
+        raise ValueError("expected a matrix")
+    lam = _power_iteration(lambda v: b.T @ (b @ v), b.shape[1], rel_tol, max_iter)
+    return math.sqrt(max(lam, 0.0))
 
 
 def spectral_report(g: np.ndarray) -> SpectralReport:

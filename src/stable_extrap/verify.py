@@ -1,9 +1,16 @@
 """Numerical certification of the package's conditioning guarantees.
 
-Every check builds the relevant matrix, measures its spectrum with the
-package's own eigensolver, and records an inequality as a CheckResult with
-the measured slack. Checks are independent and deterministic; a suite is
-just a named list of them.
+Every check builds the relevant matrix, measures its spectrum, and records
+an inequality as a CheckResult with the measured slack. Checks are
+independent and deterministic; a suite is just a named list of them.
+
+The design Grams, D+C and F+C have kappa <= 187.5(2M+1) at the sizes used
+here, so LAPACK's eigvalsh, accurate to about eps * ||A|| absolute, is
+enough for them. The basis-change norms use the power iteration on the
+matrix's even and odd parity blocks. Only the interpolation sandwich, whose
+square Gram has kappa up to about 1e8, keeps the Jacobi eigensolver for its
+relative accuracy. The results of run_suite("all") have the same bits under 1
+and 2 BLAS threads.
 """
 
 from __future__ import annotations
@@ -42,9 +49,6 @@ __all__ = [
     "run_suite",
     "SUITE_NAMES",
 ]
-
-_JACOBI_SIZE_LIMIT = 150
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -117,7 +121,7 @@ def fc_matrix(m_degree: int, n_samples: int) -> np.ndarray:
 def _design_spectrum(m_degree: int, n_samples: int, basis: Basis) -> np.ndarray:
     grid = make_grid(GridKind.EQUISPACED, n_samples)
     v = design_matrix(grid, m_degree, basis)
-    return jacobi_eigenvalues(gram_naive(v))
+    return np.linalg.eigvalsh(gram_naive(v))
 
 
 def _require_half_sqrt(m_degree: int, n_samples: int) -> None:
@@ -190,7 +194,7 @@ def check_dplusc(m_degree: int, n_samples: int) -> tuple[CheckResult, ...]:
     lambda_min >= (N - M^2/2)/(2M+1)."""
     if m_degree > n_samples:
         raise ValueError("requires M <= N")
-    lam = jacobi_eigenvalues(dc_matrix(m_degree, n_samples))
+    lam = np.linalg.eigvalsh(dc_matrix(m_degree, n_samples))
     params = {"M": m_degree, "N": n_samples}
     return (
         _result("dplusc-lambda-max", params, float(lam[-1]),
@@ -205,27 +209,25 @@ def check_fplusc(m_degree: int, n_samples: int) -> tuple[CheckResult, ...]:
     """Eigenvalue cap of F+C: lambda_max <= (4N+M+1)/2."""
     if m_degree > n_samples:
         raise ValueError("requires M <= N")
-    lam = jacobi_eigenvalues(fc_matrix(m_degree, n_samples))
+    lam = np.linalg.eigvalsh(fc_matrix(m_degree, n_samples))
     return (_result("fplusc-lambda-max", {"M": m_degree, "N": n_samples},
                     float(lam[-1]), 0.5 * (4 * n_samples + m_degree + 1)),)
-
-
-def _lambda_max(a: np.ndarray) -> float:
-    if a.shape[0] <= _JACOBI_SIZE_LIMIT:
-        return float(jacobi_eigenvalues(a)[-1])
-    return dominant_eigenvalue(a)
 
 
 def check_s_norm(m_degree: int) -> tuple[CheckResult, ...]:
     """Basis-change norm chain ||S||_2 <= 2 lambda_max(S+) <= 5.
 
     S and its symmetric part have nonnegative entries, so the numerical-range
-    argument bounds ||S||_2 through the symmetric-part spectrum.
+    argument bounds ||S||_2 through the symmetric-part spectrum. S[i, j] = 0
+    when i + j is odd, so S, S^T S and S+ = (S + S^T)/2 split into an even
+    and an odd parity block, and both extreme values are the larger of the
+    two blocks'. The two top eigenvalues of the full matrices come one from
+    each block and lie close together, which slows a power iteration on the
+    full matrix; on each block alone it converges quickly.
     """
-    s = basis_change_matrix(m_degree).entries
-    norm_sq = _lambda_max(s.T @ s)
-    norm2 = math.sqrt(max(norm_sq, 0.0))
-    lam_plus = _lambda_max(0.5 * (s + s.T))
+    s = basis_change_matrix(m_degree)
+    norm2 = s.norm2()
+    lam_plus = max(dominant_eigenvalue(0.5 * (b + b.T)) for b in s.parity_blocks())
     params = {"M": m_degree}
     return (
         _result("s-norm-le-5", params, norm2, 5.0),

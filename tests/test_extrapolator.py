@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import stable_extrap.extrapolator
+import stable_extrap.solver
 from stable_extrap import (
     GridKind,
     ProblemParams,
@@ -14,6 +16,8 @@ from stable_extrap import (
     optimal_degree,
     r_alpha,
     extrapolate,
+    gram_fast,
+    spectral_report,
 )
 
 RHO_SILVER = 1.0 + math.sqrt(2.0)
@@ -167,6 +171,26 @@ class TestExtrapolate:
         measured = extrapolate(samples, params, [1.1]).points[0]
         floor = extrapolate(samples, params, [1.1], use_guaranteed_sigma=True).points[0]
         assert floor.bound_explicit >= measured.bound_explicit
+
+    def test_builds_gram_once(self, monkeypatch):
+        # sigma_min comes from the Gram that fit solved, with the same bits
+        # as a fresh gram_fast(M*, N).
+        calls = []
+
+        def counting_gram_fast(*args, **kwargs):
+            calls.append(args)
+            return gram_fast(*args, **kwargs)
+
+        for module in (stable_extrap.solver, stable_extrap.extrapolator):
+            monkeypatch.setattr(module, "gram_fast", counting_gram_fast)
+        fn = lambda x: 1.0 / (1.0 + 25.0 * np.asarray(x) ** 2)
+        n = 2500
+        params = ProblemParams(n, 1.2, 1e-10, 2.0)
+        report = extrapolate(equispaced_samples(fn, n), params, [1.01])
+        assert calls == [(report.m_star, n)]
+        expected = spectral_report(gram_fast(report.m_star, n).matrix).sigma_min
+        assert np.float64(report.sigma_min).tobytes() == np.float64(expected).tobytes()
+        assert not report.fit_result.gram.flags.writeable
 
 
 class TestNoisyBound:

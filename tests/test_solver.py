@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import stable_extrap
 from stable_extrap import (
     Basis,
+    BasisChangeMatrix,
     ChebyshevSeries,
     GramMethod,
     Grid,
@@ -37,6 +38,18 @@ from stable_extrap.solver import _solve_spd
 def equispaced_samples(fn, n):
     grid = make_grid(GridKind.EQUISPACED, n)
     return SampleSet(grid, fn(grid.points))
+
+
+def basis_change_oracle(m_degree):
+    """S entry by entry, in the evaluation order of the formula."""
+    table = psi_table(m_degree + 1)
+    s = np.zeros((m_degree + 1, m_degree + 1))
+    for j in range(0, m_degree + 1, 2):
+        s[0, j] = table[j // 2] ** 2 / math.pi
+    for j in range(1, m_degree + 1):
+        for i in range(2 - (j % 2), j + 1, 2):
+            s[i, j] = 2.0 / math.pi * table[(j - i) // 2] * table[(j + i) // 2]
+    return s
 
 
 class TestPsi:
@@ -88,8 +101,29 @@ class TestBasisChangeMatrix:
         assert basis_change_matrix(200).norm2() <= 5.0
 
     def test_norm_matches_lapack(self):
-        s = basis_change_matrix(50)
-        assert s.norm2() == pytest.approx(np.linalg.norm(s.entries, 2), rel=1e-10)
+        # norm2 is the larger of the parity blocks' top singular values.
+        worst = 0.0
+        for m_deg in [*range(201), 1000]:
+            s = basis_change_matrix(m_deg)
+            ref = np.linalg.norm(s.entries, 2)
+            worst = max(worst, abs(s.norm2() - ref) / ref)
+        assert worst <= 1e-13, worst
+
+    @pytest.mark.parametrize("m_deg", [0, 1, 2, 3, 10, 99, 100, 1000])
+    def test_bit_identical_to_entrywise_oracle(self, m_deg):
+        s = basis_change_matrix(m_deg).entries
+        ref = basis_change_oracle(m_deg)
+        assert s.shape == ref.shape
+        assert s.tobytes() == ref.tobytes()
+        idx = np.arange(m_deg + 1)
+        assert np.all(s[(idx[:, None] + idx[None, :]) % 2 == 1] == 0.0)
+
+    @pytest.mark.parametrize("pos", [(0, 1), (3, 0), (2, 5)])
+    def test_norm_rejects_nonzero_odd_parity_entry(self, pos):
+        s = basis_change_matrix(6).entries.copy()
+        s[pos] = 1e-3
+        with pytest.raises(ValueError, match="odd-parity"):
+            BasisChangeMatrix(s).norm2()
 
 
 class TestLegendreToChebyshev:

@@ -10,6 +10,7 @@ from stable_extrap import (
     cheb_eval,
     design_matrix,
     dominant_eigenvalue,
+    dominant_singular_value,
     gram_fast,
     gram_naive,
     jacobi_eigenvalues,
@@ -107,6 +108,18 @@ class TestJacobi:
         a = b @ b.T  # nonnegative entries, symmetric PSD
         assert dominant_eigenvalue(a) == pytest.approx(jacobi_eigenvalues(a)[-1],
                                                        rel=1e-11)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (7, 7), (40, 25), (25, 40),
+                                       (200, 200)])
+    def test_dominant_singular_value_matches_eigvalsh(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            b = rng.uniform(size=shape) ** 3  # nonnegative, some entries near 0
+            ref = math.sqrt(np.linalg.eigvalsh(b.T @ b)[-1])
+            assert dominant_singular_value(b) == pytest.approx(ref, rel=1e-12)
+
+    def test_dominant_singular_value_of_zero_matrix(self):
+        assert dominant_singular_value(np.zeros((3, 4))) == 0.0
 
 
 class TestSpectralReport:

@@ -1,7 +1,14 @@
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stable_extrap
 from stable_extrap import (
     check_cheb_gram_condition,
     check_cheb_singular_bounds,
@@ -16,6 +23,8 @@ from stable_extrap import (
     run_suite,
 )
 from stable_extrap.verify import dc_matrix, fc_matrix, parity_matrix
+
+CERTIFY_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "certify_reference.json"
 
 
 class TestGerschgorin:
@@ -196,3 +205,51 @@ class TestSuites:
         results = run_suite("gerschgorin", m_degree=10, n_samples=400)
         assert all(r.passed for r in results)
         assert all(r.params == {"M": 10, "N": 400} for r in results)
+
+    def test_all_suite_matches_certify_reference(self):
+        # The benchmark's reference values, recorded when every check ran on
+        # Jacobi or power iteration over the full matrices; the file is read,
+        # never written.
+        with open(CERTIFY_REFERENCE, encoding="utf-8") as fh:
+            reference = {(c["name"], json.dumps(sorted(c["params"].items()))): c
+                         for c in json.load(fh)}
+        results = run_suite("all")
+        keys = [(r.name, json.dumps(sorted(r.params.items()))) for r in results]
+        assert sorted(keys) == sorted(reference)
+        for key, r in zip(keys, results):
+            ref = reference[key]
+            assert r.passed == ref["passed"], key
+            for got, want in ((r.lhs, ref["lhs"]), (r.rhs, ref["rhs"])):
+                assert abs(got - want) <= 1e-9 * max(abs(got), abs(want)), (key, got, want)
+
+    def test_all_suite_bits_independent_of_blas_threads(self):
+        """Every lhs and rhs of run_suite("all"), and ||S||_2 for M = 150,
+        160, ..., 1000, have the same bits under one and two BLAS threads.
+        eigvalsh on the parity blocks changes run_suite's bits at M = 1000; a
+        power iteration on a formed S^T S, whose matrix product rounds by
+        thread count, changed ||S||_2 at a few M of the sweep on a 2-vCPU
+        OpenBLAS 0.3.31 host."""
+        script = (
+            "import hashlib, struct\n"
+            "from stable_extrap import run_suite\n"
+            "h = hashlib.sha1()\n"
+            "for r in run_suite('all'):\n"
+            "    h.update(r.name.encode() + repr(sorted(r.params.items())).encode())\n"
+            "    h.update(struct.pack('<dd', r.lhs, r.rhs))\n"
+            "print(h.hexdigest())\n"
+            "from stable_extrap import basis_change_matrix\n"
+            "norms = [basis_change_matrix(m).norm2() for m in range(150, 1001, 10)]\n"
+            "print(hashlib.sha1(struct.pack(f'<{len(norms)}d', *norms)).hexdigest())\n"
+        )
+        src = str(Path(stable_extrap.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout.strip())
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1]
