@@ -9,6 +9,7 @@ error bounds together with the minimax witness showing they are sharp.
 """
 
 from .basis import (
+    Basis,
     ChebyshevSeries,
     Grid,
     GridKind,
@@ -20,7 +21,6 @@ from .basis import (
     make_grid,
 )
 from .vandermonde import (
-    Basis,
     DesignMatrix,
     SpectralReport,
     design_matrix,

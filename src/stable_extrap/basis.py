@@ -1,9 +1,10 @@
 """Chebyshev and Legendre polynomial evaluation and standard grids on [-1, 1].
 
-All evaluation routines use three-term recurrences in 64-bit floating point so
-that a single code path serves both fitting on [-1, 1] and evaluation beyond
-the interval (where first-kind Chebyshev polynomials grow but remain exact
-degree-k polynomials).
+Every basis value comes from one three-term recurrence (_recurrence) in
+64-bit floating point, so a single code path serves both fitting on [-1, 1]
+(the design matrices in vandermonde) and evaluation beyond the interval
+(where first-kind Chebyshev polynomials grow but remain exact degree-k
+polynomials). Chebyshev series are summed by Clenshaw's backward recurrence.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
+    "Basis",
     "GridKind",
     "Grid",
     "ChebyshevSeries",
@@ -25,6 +27,11 @@ __all__ = [
     "clenshaw_eval",
     "make_grid",
 ]
+
+
+class Basis(str, Enum):
+    CHEBYSHEV = "chebyshev"
+    LEGENDRE = "legendre"
 
 
 class GridKind(str, Enum):
@@ -101,25 +108,19 @@ class LegendreSeries:
         c = self.coeffs
         x = np.asarray(x, dtype=float)
         acc = np.full_like(x, c[0], dtype=float)
-        if c.size == 1:
-            return acc if acc.ndim else float(acc)
-        p_prev = np.ones_like(x)
-        p_cur = x.astype(float)
-        acc = acc + c[1] * p_cur
-        for k in range(1, c.size - 1):
-            p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-            acc = acc + c[k + 1] * p_next
-            p_prev, p_cur = p_cur, p_next
+        values = _recurrence(Basis.LEGENDRE, x, self.degree)
+        next(values)  # P_0 = 1 is already in acc
+        for ck, p in zip(c[1:], values):
+            acc = acc + ck * p
         return acc if acc.ndim else float(acc)
 
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Equispaced samples f(x_k) + perturbation, with an optional known level."""
+    """Equispaced samples f(x_k) + perturbation."""
 
     grid: Grid
     values: np.ndarray
-    declared_eps: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
@@ -136,37 +137,49 @@ class SampleSet:
         return self.grid.n
 
 
+def _recurrence(basis: Basis, x: np.ndarray, degree: int):
+    """Yield P_0(x), ..., P_degree(x) of the basis by its three-term recurrence.
+
+    Chebyshev: T_{j+1} = 2x T_j - T_{j-1}. Legendre (Bonnet):
+    (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}. Each yielded array is new and
+    is read again by the next steps, so callers must not write into it.
+    """
+    p_prev = np.ones_like(x)
+    yield p_prev
+    if degree == 0:
+        return
+    p_cur = x.astype(float)
+    yield p_cur
+    for j in range(1, degree):
+        if basis == Basis.CHEBYSHEV:
+            p_next = 2.0 * x * p_cur - p_prev
+        else:
+            p_next = ((2 * j + 1) * x * p_cur - j * p_prev) / (j + 1)
+        yield p_next
+        p_prev, p_cur = p_cur, p_next
+
+
+def _eval(basis: Basis, k: int, x):
+    if k < 0:
+        raise ValueError("degree k must be nonnegative")
+    for p in _recurrence(basis, np.asarray(x, dtype=float), k):
+        pass
+    return p if p.ndim else float(p)
+
+
 def cheb_eval(k: int, x):
     """Evaluate the degree-k Chebyshev polynomial T_k(x).
 
-    Uses T_{k+1} = 2x T_k - T_{k-1}, which is an exact polynomial identity,
-    so the same recurrence is valid for |x| > 1 (where T_k grows like
+    The recurrence T_{k+1} = 2x T_k - T_{k-1} is an exact polynomial
+    identity, so it is valid for |x| > 1 too (where T_k grows like
     (|x| + sqrt(x^2-1))^k).
     """
-    if k < 0:
-        raise ValueError("degree k must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    t_prev = np.ones_like(x)
-    if k == 0:
-        return t_prev if t_prev.ndim else float(t_prev)
-    t_cur = x.astype(float)
-    for _ in range(k - 1):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-    return t_cur if t_cur.ndim else float(t_cur)
+    return _eval(Basis.CHEBYSHEV, k, x)
 
 
 def legendre_eval(k: int, x):
     """Evaluate the degree-k Legendre polynomial P_k(x) by Bonnet recurrence."""
-    if k < 0:
-        raise ValueError("degree k must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if k == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = x.astype(float)
-    for j in range(1, k):
-        p_prev, p_cur = p_cur, ((2 * j + 1) * x * p_cur - j * p_prev) / (j + 1)
-    return p_cur if p_cur.ndim else float(p_cur)
+    return _eval(Basis.LEGENDRE, k, x)
 
 
 def clenshaw_eval(series, x):

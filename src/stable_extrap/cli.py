@@ -19,11 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import Grid, GridKind, SampleSet
+from .basis import Basis, Grid, GridKind, SampleSet
 from .extrapolator import ProblemParams, extrapolate, optimal_degree
-from .fastgram import GramMethod
 from .solver import SolverError, fit
-from .vandermonde import Basis
 from . import experiments, verify
 
 SCHEMA_VERSION = 1
@@ -179,10 +177,6 @@ def _row_error(path: str, skip: int, row: int, text: str) -> CliError:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _series_values(series, points: np.ndarray) -> np.ndarray:
-    return np.asarray(series(points), dtype=float)
-
-
 def cmd_fit(args) -> int:
     samples = read_samples_csv(args.input)
     basis = _BASIS_FLAGS[args.basis]
@@ -200,16 +194,14 @@ def cmd_fit(args) -> int:
     else:
         raise CliError("either --M or --auto is required")
 
-    gram = GramMethod(args.gram) if args.gram else None
     try:
-        result = fit(samples, degree, basis=basis, gram_method=gram,
-                     compute_cond=True)
+        result = fit(samples, degree, basis=basis)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except SolverError as exc:
         raise CliError(str(exc), code=3) from exc
 
-    resid = float(np.linalg.norm(samples.values - _series_values(result.series, samples.grid.points)))
+    resid = float(np.linalg.norm(samples.values - result.series(samples.grid.points)))
     document = {
         "schema": SCHEMA_VERSION,
         "basis": basis.value,
@@ -354,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--auto", action="store_true",
                        help="choose the degree from --rho/--eps/--Q")
     p_fit.add_argument("--basis", choices=sorted(_BASIS_FLAGS), default="cheb")
-    p_fit.add_argument("--gram", choices=[m.value for m in GramMethod], default=None)
 
     p_ext = samples_command("extrapolate", "evaluate beyond [-1, 1] with bounds")
     p_ext.add_argument("--at", required=True,

@@ -16,10 +16,10 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import GridKind, SampleSet, clenshaw_eval, make_grid
-from .fastgram import GramMethod, gram_fast, rhs
+from .basis import Basis, GridKind, SampleSet, clenshaw_eval, make_grid
+from .fastgram import gram_fast, rhs
 from .solver import fit
-from .vandermonde import Basis, design_matrix, gram_naive, jacobi_eigenvalues
+from .vandermonde import design_matrix, gram_naive
 
 __all__ = [
     "NoiseKind",
@@ -93,15 +93,10 @@ class Table:
     name: str
     columns: dict
 
-    def rows(self):
-        cols = list(self.columns.values())
-        for row in zip(*cols):
-            yield row
-
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(self.columns.keys()) + "\n")
-            for row in self.rows():
+            for row in zip(*self.columns.values()):
                 fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
@@ -196,7 +191,7 @@ def run_singular_bounds_sweep(n_list) -> Table:
     for n in n_list:
         m = int(math.floor(0.5 * math.sqrt(n)))
         grid = make_grid(GridKind.EQUISPACED, n)
-        lam = jacobi_eigenvalues(gram_naive(design_matrix(grid, m, Basis.LEGENDRE)))
+        lam = np.linalg.eigvalsh(gram_naive(design_matrix(grid, m, Basis.LEGENDRE)))
         corr = 27.0 * math.sqrt(n) / (32.0 * math.pi)
         cols["N"].append(int(n))
         cols["M"].append(m)
@@ -233,7 +228,7 @@ def run_extrapolation_decay(f_id: str, x_list, m_max: int,
         n = int(n_rule(m))
         grid = make_grid(GridKind.EQUISPACED, n)
         samples = SampleSet(grid, fn(grid.points))
-        result = fit(samples, m, gram_method=GramMethod.FAST)
+        result = fit(samples, m)
         cols["M"].append(m)
         cols["N"].append(n)
         for x in xs:
@@ -277,7 +272,7 @@ def run_noise_plateau(m_degree: int, n_list, s: float, f_id: str = "runge25",
         grid = make_grid(GridKind.EQUISPACED, n)
         noise = NoiseModel.gaussian(s, seed) if s > 0 else NoiseModel.none()
         samples = SampleSet(grid, noise.perturb(fn(grid.points)))
-        result = fit(samples, m_degree, gram_method=GramMethod.FAST)
+        result = fit(samples, m_degree)
         coeffs = result.series.coeffs
         cols["N"].extend([n] * coeffs.size)
         cols["k"].extend(range(coeffs.size))

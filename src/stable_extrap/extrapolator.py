@@ -21,11 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import SampleSet, cheb_eval, clenshaw_eval
-from .fastgram import GramMethod
-from .fastgram import gram_fast  # unused; the benchmark tracer wraps it (ROADMAP item 6)
+from .basis import GridKind, SampleSet, cheb_eval, clenshaw_eval
+from .fastgram import gram_fast  # unused; the benchmark tracer wraps it (ROADMAP item 0)
 from .solver import FitResult, fit
-from .vandermonde import spectral_report
+from .vandermonde import spectral_report  # unused; the benchmark tracer wraps it (ROADMAP item 0)
 
 __all__ = [
     "Regime",
@@ -136,17 +135,22 @@ def r_alpha(x: float, rho: float) -> tuple[float, float]:
     return r, alpha
 
 
-def _explicit_bound(params: ProblemParams, m_degree: int, r: float,
-                    sigma_min: float) -> float:
-    n1 = params.n_samples + 1
-    rho = params.rho
-    lead = 2.0 * params.q * (
-        math.sqrt(n1) * (m_degree + 1) / (sigma_min * (rho - 1.0))
+def _truncation_term(params: ProblemParams, m_degree: int, r: float,
+                     sigma_min: float) -> float:
+    """The bounds' lead term: the truncation error of the degree-M fit,
+    carried to the point whose nondimensional length is r."""
+    return 2.0 * params.q * (
+        math.sqrt(params.n_samples + 1) * (m_degree + 1)
+        / (sigma_min * (params.rho - 1.0))
         + r / (1.0 - r)
     ) * r ** m_degree
-    noise = ((m_degree + 1) * math.sqrt(n1) * params.eps / sigma_min
-             * (rho * r) ** m_degree)
-    return lead + noise
+
+
+def _explicit_bound(params: ProblemParams, m_degree: int, r: float,
+                    sigma_min: float) -> float:
+    noise = ((m_degree + 1) * math.sqrt(params.n_samples + 1) * params.eps
+             / sigma_min * (params.rho * r) ** m_degree)
+    return _truncation_term(params, m_degree, r, sigma_min) + noise
 
 
 def _asymptotic_factor(params: ProblemParams, regime: Regime,
@@ -162,26 +166,28 @@ def extrapolate(samples: SampleSet, params: ProblemParams, xs,
     """Fit at the balanced degree and evaluate beyond the sample interval.
 
     Each requested point gets the fitted value together with a fully
-    computable error bound (using the measured smallest singular value of the
-    design matrix, or the guaranteed 2N/(125(2M+1)) floor for sigma^2 when
-    use_guaranteed_sigma is set) and the regime's asymptotic bound factor, which
-    omits only constants.
+    computable error bound (using the fit's measured smallest singular value
+    of the design matrix, or the guaranteed 2N/(125(2M+1)) floor for sigma^2
+    when use_guaranteed_sigma is set) and the regime's asymptotic bound
+    factor, which omits only constants. The grid must be equispaced.
     """
     if samples.n != params.n_samples:
         raise ValueError(
             f"sample grid has N={samples.n} but params declare N={params.n_samples}"
         )
+    if samples.grid.kind != GridKind.EQUISPACED:
+        raise ValueError("extrapolation requires an equispaced grid")
     xs = [float(x) for x in np.atleast_1d(np.asarray(xs, dtype=float))]
     # Validate all points up front so no partial work happens on bad input.
     pairs = [r_alpha(x, params.rho) for x in xs]
 
     m_star, regime, degenerate = optimal_degree(params)
-    fit_result = fit(samples, m_star, gram_method=GramMethod.FAST)
+    fit_result = fit(samples, m_star)
 
     if use_guaranteed_sigma:
         sigma_min = math.sqrt(2.0 * params.n_samples / (125.0 * (2 * m_star + 1)))
     else:
-        sigma_min = spectral_report(fit_result.gram).sigma_min
+        sigma_min = fit_result.sigma_min
 
     points = []
     for x, (r, alpha) in zip(xs, pairs):
@@ -207,14 +213,8 @@ def noisy_extrapolation_bound(params: ProblemParams, m_degree: int, s: float,
     is unstable unless the degree is kept near the balanced choice.
     """
     r, _ = r_alpha(x, params.rho)
-    n1 = params.n_samples + 1
-    rho = params.rho
-    lead = 2.0 * params.q * (
-        math.sqrt(n1) * (m_degree + 1) / (sigma_min * (rho - 1.0))
-        + r / (1.0 - r)
-    ) * r ** m_degree
-    noise = (m_degree + 1) ** 1.5 * s / sigma_min * (rho * r) ** m_degree
-    return lead + noise
+    noise = (m_degree + 1) ** 1.5 * s / sigma_min * (params.rho * r) ** m_degree
+    return _truncation_term(params, m_degree, r, sigma_min) + noise
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -60,7 +60,6 @@ class BernoulliWeights:
     """
 
     truncation_s: int = 10
-    exact_table: dict = field(default_factory=lambda: dict(_EXACT_WEIGHTS))
 
     def asymptotic(self, s: int) -> float:
         """Six-term asymptotic value of B_{s+1}/(s+1)! for odd s."""
@@ -72,8 +71,8 @@ class BernoulliWeights:
     def weight(self, s: int) -> float:
         if s < 1 or s % 2 == 0:
             raise ValueError("correction weights exist for odd s >= 1")
-        if s in self.exact_table:
-            return self.exact_table[s]
+        if s in _EXACT_WEIGHTS:
+            return _EXACT_WEIGHTS[s]
         return self.asymptotic(s)
 
     def orders(self, s_max: int) -> list[int]:
@@ -83,12 +82,9 @@ class BernoulliWeights:
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Normal-equation matrix with its provenance and diagnostics."""
+    """Normal-equation matrix with its diagnostics."""
 
     matrix: np.ndarray
-    method: GramMethod
-    m_degree: int
-    n_samples: int
     correction_terms: np.ndarray | None = None
     subsampled_warning: bool = False
 
@@ -131,10 +127,9 @@ def trapezium_error_matrix(m_degree: int, n_samples: int,
     cur_s = sum_sq / (0.5 * n)
     prev_s = 1
     for s in s_list:
-        if s > prev_s:
-            for j in range(prev_s, s):
-                cur_d = cur_d * ((diff_sq - j * j) / (n * (j + 0.5)))
-                cur_s = cur_s * ((sum_sq - j * j) / (n * (j + 0.5)))
+        for j in range(prev_s, s):
+            cur_d = cur_d * ((diff_sq - j * j) / (n * (j + 0.5)))
+            cur_s = cur_s * ((sum_sq - j * j) / (n * (j + 0.5)))
         prod_diff.append(cur_d.copy())
         prod_sum.append(cur_s.copy())
         prev_s = s
@@ -168,8 +163,7 @@ def gram_fast(m_degree: int, n_samples: int,
         raise ValueError("sample count N must be positive")
     n = float(n_samples)
     if m_degree == 0:
-        return GramSystem(np.array([[n + 1.0]]), GramMethod.FAST, 0, n_samples,
-                          correction_terms=np.zeros((1, 1)))
+        return GramSystem(np.array([[n + 1.0]]), correction_terms=np.zeros((1, 1)))
 
     idx = np.arange(m_degree + 1, dtype=float)
     t = idx[:, None] + idx[None, :]
@@ -181,8 +175,7 @@ def gram_fast(m_degree: int, n_samples: int,
     g = analytic + 0.5 * n * err
     g[odd] = 0.0
     subsampled = n_samples < 4 * m_degree * m_degree
-    return GramSystem(g, GramMethod.FAST, m_degree, n_samples,
-                      correction_terms=err, subsampled_warning=subsampled)
+    return GramSystem(g, correction_terms=err, subsampled_warning=subsampled)
 
 
 def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:

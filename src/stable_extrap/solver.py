@@ -3,7 +3,7 @@
 The Gram matrix is well conditioned whenever M <= sqrt(N)/2, so Cholesky on
 the normal equations is the right tool here; QR on the tall design matrix
 would forfeit the O(M^2) fast assembly path for no stability gain in this
-regime.
+regime. The grid alone picks how the normal equations are assembled (fit).
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ChebyshevSeries, GridKind, LegendreSeries, SampleSet
+from .basis import Basis, ChebyshevSeries, GridKind, LegendreSeries, SampleSet
 from .fastgram import GramMethod, gram_fast, rhs
 from .vandermonde import (
-    Basis,
     design_matrix,
-    dominant_eigenvalue,  # unused; the benchmark tracer wraps it (ROADMAP item 6)
+    dominant_eigenvalue,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
     dominant_singular_value,
     gram_naive,
-    jacobi_eigenvalues,  # unused; the benchmark tracer wraps it (ROADMAP item 6)
+    jacobi_eigenvalues,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
     spectral_report,
 )
 
@@ -47,7 +46,8 @@ class FitResult:
     series: ChebyshevSeries | LegendreSeries
     m_degree: int
     n_samples: int
-    gram_cond_estimate: float | None
+    gram_cond_estimate: float  # kappa_2 of gram, the design's kappa squared
+    sigma_min: float  # smallest singular value of the design matrix
     method: GramMethod
     gram: np.ndarray  # the normal-equation matrix that was solved, read-only
     warnings: tuple[str, ...] = ()
@@ -88,21 +88,19 @@ class BasisChangeMatrix:
 
 
 def psi(i: int) -> float:
-    """Ratio Gamma(i + 1/2)/Gamma(i + 1) by its downward recurrence.
-
-    Starts from psi(0) = sqrt(pi) and multiplies by (i + 1/2)/(i + 1), so no
-    Gamma evaluations (and no overflow) are involved; the sequence decreases
-    monotonically like 1/sqrt(i).
-    """
+    """Ratio Gamma(i + 1/2)/Gamma(i + 1), entry i of psi_table."""
     if i < 0:
         raise ValueError("psi is defined for nonnegative integers")
-    value = math.sqrt(math.pi)
-    for j in range(i):
-        value *= (j + 0.5) / (j + 1.0)
-    return value
+    return float(psi_table(i)[i])
 
 
 def psi_table(n: int) -> np.ndarray:
+    """psi(0), ..., psi(n) by the downward recurrence.
+
+    Starts from psi(0) = sqrt(pi) and multiplies by (j + 1/2)/(j + 1), so no
+    Gamma evaluations (and no overflow) are involved; the sequence decreases
+    monotonically like 1/sqrt(i).
+    """
     out = np.empty(n + 1)
     out[0] = math.sqrt(math.pi)
     for j in range(n):
@@ -140,17 +138,17 @@ def _naive_system(samples: SampleSet, m_degree: int, basis: Basis):
     return g, b
 
 
-def fit(samples: SampleSet, m_degree: int, basis: Basis = Basis.CHEBYSHEV,
-        gram_method: GramMethod | None = None,
-        compute_cond: bool = False) -> FitResult:
+def fit(samples: SampleSet, m_degree: int,
+        basis: Basis = Basis.CHEBYSHEV) -> FitResult:
     """Least-squares polynomial fit of degree M to the sample values.
 
-    The fast Gram path (default for Chebyshev fits on an equispaced grid)
-    assembles the normal equations in O(M^2 + MN); any other combination
-    falls back to the dense design-matrix product. The factorization is
-    Cholesky with a single 1e-14*trace(G) shift retry when the Gram is
+    An equispaced grid takes the fast Chebyshev Gram G and right-hand side b
+    in O(M^2 + MN), in either basis: V_leg = V_cheb S with
+    S = basis_change_matrix(M), so a Legendre fit solves S^T G S c = S^T b.
+    Any other grid takes the dense design-matrix product. The factorization
+    is Cholesky with a single 1e-14*trace(G) shift retry when the Gram is
     semidefinite to tolerance, and the solved system is verified to a
-    residual of 1e-10 * ||b||.
+    residual of 1e-10 * ||b||. sigma_min and kappa come from the solved Gram.
     """
     basis = Basis(basis)
     n = samples.n
@@ -166,26 +164,21 @@ def fit(samples: SampleSet, m_degree: int, basis: Basis = Basis.CHEBYSHEV,
         _warnings.warn(msg, stacklevel=2)
         notes.append(msg)
 
-    equispaced = samples.grid.kind == GridKind.EQUISPACED
-    if gram_method is not None:
-        gram_method = GramMethod(gram_method)
-    if gram_method == GramMethod.FAST:
-        if basis != Basis.CHEBYSHEV:
-            raise ValueError("the fast Gram path exists for the Chebyshev basis only")
-        if not equispaced:
-            raise ValueError("the fast Gram path requires an equispaced grid")
-    if gram_method is None:
-        gram_method = (GramMethod.FAST
-                       if basis == Basis.CHEBYSHEV and equispaced
-                       else GramMethod.NAIVE)
-
-    if gram_method == GramMethod.FAST:
+    if samples.grid.kind == GridKind.EQUISPACED:
+        method = GramMethod.FAST
         system = gram_fast(m_degree, n)
-        g = system.matrix
         if system.subsampled_warning:
             notes.append(f"N={n} < 4*M^2: fast Gram accuracy not guaranteed")
+        g = system.matrix
         b = rhs(samples.grid, samples.values, m_degree)
+        if basis == Basis.LEGENDRE:
+            # numpy's einsum loops, not BLAS, form the products, so the bits
+            # do not depend on the BLAS thread count.
+            s = basis_change_matrix(m_degree).entries
+            sgs = np.einsum("ki,kj->ij", s, np.einsum("kl,lj->kj", g, s))
+            g, b = 0.5 * (sgs + sgs.T), np.einsum("ki,k->i", s, b)
     else:
+        method = GramMethod.NAIVE
         g, b = _naive_system(samples, m_degree, basis)
 
     coeffs, shifted = _solve_spd(g, b, m_degree, n)
@@ -199,15 +192,12 @@ def fit(samples: SampleSet, m_degree: int, basis: Basis = Basis.CHEBYSHEV,
             f"(M={m_degree}, N={n})"
         )
 
-    cond = None
-    if compute_cond:
-        report = spectral_report(0.5 * (g + g.T))
-        cond = report.cond2 ** 2 if math.isfinite(report.cond2) else math.inf
-
+    report = spectral_report(g)
     series = (ChebyshevSeries(coeffs) if basis == Basis.CHEBYSHEV
               else LegendreSeries(coeffs))
     g.setflags(write=False)
-    return FitResult(series, m_degree, n, cond, gram_method, g, tuple(notes))
+    return FitResult(series, m_degree, n, report.cond2 ** 2, report.sigma_min,
+                     method, g, tuple(notes))
 
 
 def _cholesky_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:

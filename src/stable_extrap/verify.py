@@ -20,16 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import GridKind, make_grid
+from .basis import Basis, GridKind, make_grid
 from .solver import basis_change_matrix
 from .vandermonde import (
-    Basis,
     design_matrix,
     dominant_eigenvalue,
     gram_naive,
     jacobi_eigenvalues,
     lebesgue_constant,
-    spectral_report,  # unused; the benchmark tracer wraps it (ROADMAP item 6)
+    spectral_report,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
 )
 
 __all__ = [

@@ -191,5 +191,5 @@ class TestTypes:
             SampleSet(g, [1.0, 2.0])
         with pytest.raises(ValueError):
             SampleSet(g, [1.0, float("nan"), 2.0])
-        s = SampleSet(g, [1.0, 2.0, 3.0], declared_eps=1e-3)
+        s = SampleSet(g, [1.0, 2.0, 3.0])
         assert s.n == 2

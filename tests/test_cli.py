@@ -238,17 +238,15 @@ class TestFitCommand:
         main(["fit", "--input", str(csv_path), "--M", "4", "--output", str(out2)])
         assert out1.read_text() == out2.read_text()
 
-    def test_gram_flag_routes_agree(self, tmp_path):
+    def test_gram_flag_is_gone(self, tmp_path, capsys):
+        # Every fit on an equispaced grid takes the fast Gram; there is no
+        # route to choose.
         csv_path = tmp_path / "s.csv"
-        write_samples(csv_path, 256, lambda x: np.exp(x))
-        out_fast, out_naive = tmp_path / "f.json", tmp_path / "n.json"
-        assert main(["fit", "--input", str(csv_path), "--M", "8",
-                     "--gram", "fast", "--output", str(out_fast)]) == 0
-        assert main(["fit", "--input", str(csv_path), "--M", "8",
-                     "--gram", "naive", "--output", str(out_naive)]) == 0
-        fast = json.loads(out_fast.read_text())["coeffs"]
-        naive = json.loads(out_naive.read_text())["coeffs"]
-        np.testing.assert_allclose(fast, naive, rtol=1e-10, atol=1e-14)
+        write_samples(csv_path, 16, np.cos)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", str(csv_path), "--M", "2", "--gram", "naive"])
+        assert exc.value.code == 2
+        assert "--gram" in capsys.readouterr().err
 
 
 class TestExtrapolateCommand:

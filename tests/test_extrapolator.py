@@ -156,6 +156,14 @@ class TestExtrapolate:
         with pytest.raises(ValueError, match="N="):
             extrapolate(equispaced_samples(np.cos, 64), params, [1.0])
 
+    def test_non_equispaced_grid_rejected(self):
+        # The bound and M* assume the equispaced design; fit alone would take
+        # the dense route on these points.
+        grid = make_grid(GridKind.CHEBYSHEV_FIRST_KIND, 100)
+        samples = SampleSet(grid, np.cos(grid.points))
+        with pytest.raises(ValueError, match="equispaced"):
+            extrapolate(samples, ProblemParams(100, 2.0, 1e-6, 1.0), [1.0])
+
     def test_degenerate_level_pins_degree_to_zero(self):
         # eps > Q: nothing beyond the constant term is recoverable.
         params = ProblemParams(100, 2.0, 3.0, 1.0)
@@ -190,6 +198,7 @@ class TestExtrapolate:
         assert calls == [(report.m_star, n)]
         expected = spectral_report(gram_fast(report.m_star, n).matrix).sigma_min
         assert np.float64(report.sigma_min).tobytes() == np.float64(expected).tobytes()
+        assert report.sigma_min == report.fit_result.sigma_min
         assert not report.fit_result.gram.flags.writeable
 
 

@@ -23,6 +23,7 @@ from stable_extrap import (
     basis_change_matrix,
     cheb_eval,
     fit,
+    gram_fast,
     gram_naive,
     design_matrix,
     legendre_eval,
@@ -199,10 +200,11 @@ class TestFit:
 
     def test_gram_cond_estimate(self):
         samples = equispaced_samples(np.cos, 100)
-        result = fit(samples, 5, compute_cond=True)
-        assert result.gram_cond_estimate is not None
+        result = fit(samples, 5)
+        report = spectral_report(result.gram)
+        assert result.gram_cond_estimate == report.cond2 ** 2
         assert result.gram_cond_estimate >= 1.0
-        assert fit(samples, 5).gram_cond_estimate is None
+        assert result.sigma_min == report.sigma_min
 
     def test_degree_exceeding_samples_rejected(self):
         samples = equispaced_samples(np.cos, 100)
@@ -210,26 +212,55 @@ class TestFit:
             fit(samples, 200)
 
     def test_fast_gram_requires_chebyshev(self):
+        # The fast Gram is assembled in the Chebyshev basis only; a Legendre
+        # fit on an equispaced grid reaches it through S, so its Gram is
+        # S^T G S with G the Chebyshev fit's Gram.
         samples = equispaced_samples(np.cos, 100)
-        with pytest.raises(ValueError, match="Chebyshev"):
-            fit(samples, 5, basis=Basis.LEGENDRE, gram_method=GramMethod.FAST)
+        cheb = fit(samples, 5)
+        leg = fit(samples, 5, basis=Basis.LEGENDRE)
+        assert (cheb.method, leg.method) == (GramMethod.FAST, GramMethod.FAST)
+        np.testing.assert_array_equal(cheb.gram, gram_fast(5, 100).matrix)
+        s = basis_change_matrix(5).entries
+        ref = s.T @ cheb.gram @ s
+        assert np.max(np.abs(leg.gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @given(n=st.integers(16, 5000), m_frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equispaced_legendre_fit_matches_dense_reference(self, n, m_frac, seed):
+        """A Legendre fit on an equispaced grid takes the fast Gram through
+        S and agrees with the dense route on the same points labelled
+        ARBITRARY; its Chebyshev form is the Chebyshev fit."""
+        m_deg = int(m_frac * 0.5 * math.sqrt(n))
+        grid = make_grid(GridKind.EQUISPACED, n)
+        y = np.random.default_rng(seed).normal(size=n + 1)
+        fast = fit(SampleSet(grid, y), m_deg, basis=Basis.LEGENDRE)
+        dense = fit(SampleSet(Grid(grid.points, GridKind.ARBITRARY), y), m_deg,
+                    basis=Basis.LEGENDRE)
+        assert fast.method == GramMethod.FAST
+        assert dense.method == GramMethod.NAIVE
+        ref = dense.series.coeffs
+        assert np.max(np.abs(fast.series.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert fast.gram_cond_estimate == pytest.approx(dense.gram_cond_estimate, rel=1e-12)
+        cheb = fit(SampleSet(grid, y), m_deg).series.coeffs
+        via_leg = legendre_to_chebyshev(fast.series).coeffs
+        assert np.max(np.abs(via_leg - cheb)) <= 1e-12 * np.max(np.abs(cheb))
 
     def test_fast_gram_requires_equispaced(self):
         grid = make_grid(GridKind.CHEBYSHEV_FIRST_KIND, 100)
         samples = SampleSet(grid, np.cos(grid.points))
-        with pytest.raises(ValueError, match="equispaced"):
-            fit(samples, 5, gram_method=GramMethod.FAST)
         result = fit(samples, 5)  # falls back to the dense route
         assert result.method == GramMethod.NAIVE
 
     def test_fast_gram_rejects_asymmetric_grid_labelled_equispaced(self):
         # Increasing points that are not mirror-symmetric would pair the
-        # equispaced Gram with a right-hand side taken at other points.
+        # equispaced Gram with a right-hand side taken at other points; a
+        # Legendre fit takes the same Gram and right-hand side.
         grid = Grid(np.linspace(-1.0, 0.9, 101), GridKind.EQUISPACED)
         samples = SampleSet(grid, np.cos(grid.points))
-        for method in (GramMethod.FAST, None):
+        for basis in Basis:
             with pytest.raises(ValueError, match=r"mirror-symmetric: \|x\[0\] \+ x\[100\]\|"):
-                fit(samples, 5, gram_method=method)
+                fit(samples, 5, basis=basis)
 
     def test_fast_gram_rejects_chebyshev_points_labelled_equispaced(self):
         # First-kind Chebyshev points are mirror-symmetric, so only the
@@ -265,19 +296,23 @@ class TestFit:
     def test_bits_independent_of_blas_threads(self):
         """LAPACK's Cholesky and eigvalsh give the same sigma_min and fit
         coefficients under one and two BLAS threads at the benchmark's
-        largest degree (M = 125, N = 62500) and at M = 27."""
+        largest degree (M = 125, N = 62500) and at M = 27. The Legendre fit
+        forms S^T G S without BLAS, so its Gram and coefficients do too."""
         n = 62_500
         script = (
             "import hashlib, numpy as np\n"
-            "from stable_extrap import (GridKind, SampleSet, fit, gram_fast,\n"
+            "from stable_extrap import (Basis, GridKind, SampleSet, fit, gram_fast,\n"
             "                           make_grid, spectral_report)\n"
             f"grid = make_grid(GridKind.EQUISPACED, {n})\n"
             "y = 1.0 / (1.0 + 25.0 * grid.points ** 2)\n"
             "for m in (27, 125):\n"
             f"    sigma = spectral_report(gram_fast(m, {n}).matrix).sigma_min\n"
             "    coeffs = fit(SampleSet(grid, y), m).series.coeffs\n"
+            "    leg = fit(SampleSet(grid, y), m, basis=Basis.LEGENDRE)\n"
             "    print(hashlib.sha1(np.float64(sigma).tobytes()).hexdigest(),\n"
-            "          hashlib.sha1(coeffs.tobytes()).hexdigest())\n"
+            "          hashlib.sha1(coeffs.tobytes()).hexdigest(),\n"
+            "          hashlib.sha1(leg.gram.tobytes()).hexdigest(),\n"
+            "          hashlib.sha1(leg.series.coeffs.tobytes()).hexdigest())\n"
         )
         src = str(Path(stable_extrap.__file__).resolve().parents[1])
         outputs = []
@@ -294,8 +329,10 @@ class TestFit:
 
     def test_naive_chebyshev_matches_fast(self):
         samples = equispaced_samples(lambda x: np.exp(x), 256)
-        fast = fit(samples, 8, gram_method=GramMethod.FAST)
-        naive = fit(samples, 8, gram_method=GramMethod.NAIVE)
+        fast = fit(samples, 8)
+        naive = fit(SampleSet(Grid(samples.grid.points, GridKind.ARBITRARY),
+                              samples.values), 8)
+        assert (fast.method, naive.method) == (GramMethod.FAST, GramMethod.NAIVE)
         np.testing.assert_allclose(fast.series.coeffs, naive.series.coeffs,
                                    rtol=1e-10, atol=1e-14)
 
