@@ -66,9 +66,6 @@ class Grid:
         """Number of points minus one (N for an N+1-point grid)."""
         return self.points.size - 1
 
-    def __len__(self) -> int:
-        return self.points.size
-
 
 @dataclass(frozen=True)
 class ChebyshevSeries:

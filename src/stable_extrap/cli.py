@@ -1,15 +1,16 @@
 """Command-line front end: fit, extrapolate, verify, and figure commands.
 
 Input samples are two-column CSV (x, y) on an equispaced grid; outputs are
-versioned JSON documents or CSV tables. Exit codes: 0 success, 1 failed
-verification checks, 2 bad input or usage, 3 numerical solver failure.
+versioned JSON documents, whose floats read back exactly, or CSV tables.
+Exit codes: 0 success, 1 failed verification checks, 2 bad input or usage,
+3 numerical solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json as _json
+import json
 import math
 import re
 import sys
@@ -37,63 +38,15 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Serialization: floats carry 17 significant digits so every 64-bit value
-# round-trips exactly. The stdlib json encoder cannot be coaxed into a fixed
-# float format, hence this small writer.
+# Serialization: the stdlib writes each float as its shortest round-trip
+# repr, which reads back to the same 64-bit value and keeps integral floats
+# floats ("rho": 2.0, not 2). Non-finite values use the NaN/Infinity literals
+# that json.loads accepts. _emit calls json_dumps through this module's global
+# so that a wrapper installed on it sees every document.
 # ---------------------------------------------------------------------------
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def json_dumps(obj, indent: int = 2) -> str:
-    out: list[str] = []
-    _write_json(obj, out, indent, 0)
-    return "".join(out)
-
-
-def _write_json(obj, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    end_pad = " " * (indent * level)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(_json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(pad)
-            out.append(_json.dumps(str(key)))
-            out.append(": ")
-            _write_json(value, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(end_pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(pad)
-            _write_json(value, out, indent, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(end_pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2)
 
 
 def _emit(document, output: str | None) -> None:

@@ -1,8 +1,9 @@
 """Reproducible experiment tables: decay profiles, spectra sweeps, noise
 plateaus, and Gram-assembly timings.
 
-Randomness goes through numpy's PCG64 generator seeded explicitly, so a seed
-pins every table bit-for-bit. Timing runs are single-threaded by
+Randomness goes through numpy's PCG64 generator with an explicit seed (the
+noise plateau's argument, 0 for the timing samples), so every table but the
+timings is pinned bit-for-bit. Timing runs are single-threaded by
 construction (all hot loops are sequential numpy reductions).
 """
 
@@ -141,10 +142,10 @@ TEST_FUNCTIONS = {
 }
 
 
-def run_alpha_profile(rho: float, eps: float, x_count: int,
-                      q: float = 1.0) -> Table:
-    """Decay exponent alpha(x) and the bound factor (eps/q)^alpha / (1-r)
-    over a uniform sampling of the reachable interval, edge included.
+def run_alpha_profile(rho: float, eps: float, x_count: int) -> Table:
+    """Decay exponent alpha(x) and the bound factor eps^alpha / (1-r), the
+    oversampled factor at Q = 1, over a uniform sampling of the reachable
+    interval, edge included.
 
     At the edge r -> 1, so the factor blows up; such rows are capped at
     FACTOR_CAP and flagged in the `capped` column.
@@ -164,7 +165,7 @@ def run_alpha_profile(rho: float, eps: float, x_count: int,
             capped.append(1)
             continue
         alpha = max(-math.log(r) / log_rho, 0.0)
-        factor = (eps / q) ** alpha / (1.0 - r)
+        factor = eps ** alpha / (1.0 - r)
         if not math.isfinite(factor) or factor > FACTOR_CAP:
             factor, flag = FACTOR_CAP, 1
         else:
@@ -202,22 +203,16 @@ def run_singular_bounds_sweep(n_list) -> Table:
     return Table("singular-bounds-sweep", cols)
 
 
-def run_extrapolation_decay(f_id: str, x_list, m_max: int,
-                            rho: float | None = None,
-                            n_rule=None) -> Table:
+def run_extrapolation_decay(f_id: str, x_list, m_max: int) -> Table:
     """Extrapolation error |f(x) - p_M(x)| for M = 1..m_max at each x.
 
-    Samples are exact (perturbed only by rounding); the grid follows
-    n_rule(M), which defaults to N = 4 M^2 so every fit sits at the
-    conditioning boundary M = sqrt(N)/2. Errors decay geometrically for x
-    inside the function's reachable interval and grow outside it.
+    Samples are exact (perturbed only by rounding); the grid has N = 4 M^2
+    points so every fit sits at the conditioning boundary M = sqrt(N)/2.
+    Errors decay geometrically for x inside the function's reachable
+    interval and grow outside it; the rate columns give r(x) for the
+    function's own rho.
     """
-    test_fn = TEST_FUNCTIONS[f_id]
-    fn = test_fn.fn
-    if rho is None:
-        rho = test_fn.rho
-    if n_rule is None:
-        n_rule = lambda m: 4 * m * m
+    fn, rho = TEST_FUNCTIONS[f_id].fn, TEST_FUNCTIONS[f_id].rho
     xs = [float(x) for x in x_list]
     cols = {"M": [], "N": []}
     for x in xs:
@@ -225,7 +220,7 @@ def run_extrapolation_decay(f_id: str, x_list, m_max: int,
     for x in xs:
         cols[f"rate_x={x:g}"] = []
     for m in range(1, m_max + 1):
-        n = int(n_rule(m))
+        n = 4 * m * m
         grid = make_grid(GridKind.EQUISPACED, n)
         samples = SampleSet(grid, fn(grid.points))
         result = fit(samples, m)
@@ -256,15 +251,16 @@ class NoisePlateauResult:
     plateaus: dict
 
 
-def run_noise_plateau(m_degree: int, n_list, s: float, f_id: str = "runge25",
+def run_noise_plateau(m_degree: int, n_list, s: float,
                       seed: int = 0) -> NoisePlateauResult:
-    """Chebyshev coefficient magnitudes of noisy fits for each grid size.
+    """Chebyshev coefficient magnitudes of noisy fits of runge25 for each
+    grid size.
 
     The same seed gives bit-identical noise per N. The coefficient tail
     plateaus at the per-coefficient noise level, which scales like s/sqrt(N);
     multiplying N by 100 drops the plateau about tenfold.
     """
-    fn = TEST_FUNCTIONS[f_id].fn
+    fn = TEST_FUNCTIONS["runge25"].fn
     cols = {"N": [], "k": [], "abs_coeff": []}
     plateaus = {}
     for n in n_list:
@@ -281,14 +277,15 @@ def run_noise_plateau(m_degree: int, n_list, s: float, f_id: str = "runge25",
     return NoisePlateauResult(Table("noise-plateau", cols), plateaus)
 
 
-def run_gram_timing(m_degree: int, n_list, seed: int = 0) -> Table:
+def run_gram_timing(m_degree: int, n_list) -> Table:
     """Wall-clock comparison of naive vs fast normal-equation assembly.
 
-    Reports construction alone and construction plus right-hand side. The
-    fast path's construction cost is independent of N; the naive path pays
-    O(MN) for the design matrix fill plus O(M^2 N) for the product.
+    Reports construction alone and construction plus right-hand side, for
+    standard normal samples drawn with seed 0. The fast path's construction
+    cost is independent of N; the naive path pays O(MN) for the design
+    matrix fill plus O(M^2 N) for the product.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(0))
     cols = {"N": [], "naive_build_s": [], "naive_with_rhs_s": [],
             "fast_build_s": [], "fast_with_rhs_s": []}
     for n in n_list:

@@ -161,15 +161,15 @@ def _asymptotic_factor(params: ProblemParams, regime: Regime,
     return base * r ** (0.5 * math.sqrt(params.n_samples))
 
 
-def extrapolate(samples: SampleSet, params: ProblemParams, xs,
-                use_guaranteed_sigma: bool = False) -> ExtrapolationReport:
+def extrapolate(samples: SampleSet, params: ProblemParams, xs) -> ExtrapolationReport:
     """Fit at the balanced degree and evaluate beyond the sample interval.
 
     Each requested point gets the fitted value together with a fully
-    computable error bound (using the fit's measured smallest singular value
-    of the design matrix, or the guaranteed 2N/(125(2M+1)) floor for sigma^2
-    when use_guaranteed_sigma is set) and the regime's asymptotic bound
-    factor, which omits only constants. The grid must be equispaced.
+    computable error bound, from the fit's measured smallest singular value
+    of the design matrix, and the regime's asymptotic bound factor, which
+    omits only constants. Under M <= sqrt(N)/2 the measured sigma_min^2 is at
+    least the guaranteed 2N/(125(2M+1)), so the bound is never looser than
+    the one that floor would give. The grid must be equispaced.
     """
     if samples.n != params.n_samples:
         raise ValueError(
@@ -184,10 +184,7 @@ def extrapolate(samples: SampleSet, params: ProblemParams, xs,
     m_star, regime, degenerate = optimal_degree(params)
     fit_result = fit(samples, m_star)
 
-    if use_guaranteed_sigma:
-        sigma_min = math.sqrt(2.0 * params.n_samples / (125.0 * (2 * m_star + 1)))
-    else:
-        sigma_min = fit_result.sigma_min
+    sigma_min = fit_result.sigma_min
 
     points = []
     for x, (r, alpha) in zip(xs, pairs):

@@ -10,8 +10,6 @@ weighted-Bernoulli coefficients. The correction products depend only on
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +18,6 @@ import numpy as np
 from .basis import Grid
 
 __all__ = [
-    "BernoulliWeights",
     "GramMethod",
     "GramSystem",
     "trapezium_error_matrix",
@@ -33,7 +30,13 @@ _MIRROR_TOL = 1e-15
 # Largest |x_k - (2k/N - 1)| that rhs accepts as equispaced (cli.X_MATCH_TOL).
 _GRID_TOL = 1e-12
 
-# B_{s+1}/(s+1)! for odd s; even-order corrections vanish identically.
+# B_{s+1}/(s+1)! for the odd correction orders s; even-order corrections
+# vanish identically. Under M <= sqrt(N)/2 each factor (t^2 - j^2)/(N(j+1/2))
+# of an order-s product is at most 1/(j+1/2) in size, because t^2 <= 4M^2 <= N
+# and j^2 < N, so order s adds at most 2^(s+1)/(2s-1)!! |B_{s+1}/(s+1)!| to a
+# Gram entry: 1.6e-16 at s = 11, and less at every later order. The Gram's
+# norm is about N, so those orders lie below its rounding and the table
+# stops at s = 9.
 _EXACT_WEIGHTS = {
     1: 1.0 / 12.0,
     3: -1.0 / 720.0,
@@ -49,38 +52,6 @@ class GramMethod(str, Enum):
 
 
 @dataclass(frozen=True)
-class BernoulliWeights:
-    """Weighted Bernoulli numbers B_{s+1}/(s+1)! for the correction series.
-
-    Exact values are tabulated for odd s <= 9. Beyond the table a six-term
-    asymptotic form is used, which sidesteps overflow in B_{s+1} and (s+1)!
-    for large s. The correction series is truncated at truncation_s; the
-    default of 10 keeps every tabulated term and drops terms that are far
-    below double-precision resolution whenever M <= sqrt(N)/2.
-    """
-
-    truncation_s: int = 10
-
-    def asymptotic(self, s: int) -> float:
-        """Six-term asymptotic value of B_{s+1}/(s+1)! for odd s."""
-        if s % 2 == 0:
-            raise ValueError("asymptotic form applies to odd s only")
-        tail = sum(i ** -(s + 1) for i in range(1, 7))
-        return (-1) ** ((s + 3) // 2) * 2.0 / (2.0 * math.pi) ** (s + 1) * tail
-
-    def weight(self, s: int) -> float:
-        if s < 1 or s % 2 == 0:
-            raise ValueError("correction weights exist for odd s >= 1")
-        if s in _EXACT_WEIGHTS:
-            return _EXACT_WEIGHTS[s]
-        return self.asymptotic(s)
-
-    def orders(self, s_max: int) -> list[int]:
-        """Odd correction orders s <= min(s_max, truncation_s)."""
-        return list(range(1, min(s_max, self.truncation_s) + 1, 2))
-
-
-@dataclass(frozen=True)
 class GramSystem:
     """Normal-equation matrix with its diagnostics."""
 
@@ -89,34 +60,27 @@ class GramSystem:
     subsampled_warning: bool = False
 
 
-def trapezium_error_matrix(m_degree: int, n_samples: int,
-                           weights: BernoulliWeights | None = None) -> np.ndarray:
+def trapezium_error_matrix(m_degree: int, n_samples: int) -> np.ndarray:
     """Correction matrix for the trapezium-rule identity on the equispaced grid.
 
-    Entry (m, n) is (2/N) * sum over odd s <= min(m+n-1, truncation_s) of
+    Entry (m, n) is (2/N) * sum over odd s <= min(m+n-1, 9) of
 
         [ prod_{j<s} ((m-n)^2 - j^2)/(N(j+1/2))
           + prod_{j<s} ((m+n)^2 - j^2)/(N(j+1/2)) ] * B_{s+1}/(s+1)!
 
-    and exactly 0 when m+n is odd or m+n <= 1. The two products are shared
-    across entries through tables keyed by (m-n)^2 and (m+n)^2, so total work
-    is O(M^2) and table memory O(M * truncation_s).
+    and exactly 0 when m+n is odd or m+n <= 1; _EXACT_WEIGHTS says why
+    s <= 9 suffices. The two products are shared across entries through
+    tables keyed by (m-n)^2 and (m+n)^2, so total work is O(M^2) and table
+    memory O(M). Past M = sqrt(N)/2 the truncated series is no longer
+    accurate; gram_fast flags that case in GramSystem.subsampled_warning.
     """
     if m_degree < 1:
         raise ValueError("correction matrix needs degree M >= 1")
     if n_samples < 1:
         raise ValueError("sample count N must be positive")
-    if weights is None:
-        weights = BernoulliWeights()
-    if n_samples < 4 * m_degree * m_degree:
-        warnings.warn(
-            f"N={n_samples} < 4*M^2={4 * m_degree * m_degree}: the truncated "
-            "correction series is only guaranteed accurate for M <= sqrt(N)/2",
-            stacklevel=2,
-        )
 
     n = float(n_samples)
-    s_list = weights.orders(2 * m_degree - 1)
+    s_list = [s for s in _EXACT_WEIGHTS if s <= 2 * m_degree - 1]
     # Product tables over the distinct squared values: diff_sq for |m-n|,
     # sum_sq for m+n. Built by a two-factor recurrence from one odd order
     # to the next.
@@ -140,7 +104,7 @@ def trapezium_error_matrix(m_degree: int, n_samples: int,
     err = np.zeros((m_degree + 1, m_degree + 1))
     for k, s in enumerate(s_list):
         active = t_idx >= s + 1
-        term = (prod_diff[k][d_idx] + prod_sum[k][t_idx]) * weights.weight(s)
+        term = (prod_diff[k][d_idx] + prod_sum[k][t_idx]) * _EXACT_WEIGHTS[s]
         err += np.where(active, term, 0.0)
     err *= 2.0 / n
     err[(t_idx % 2) == 1] = 0.0
@@ -148,8 +112,7 @@ def trapezium_error_matrix(m_degree: int, n_samples: int,
     return err
 
 
-def gram_fast(m_degree: int, n_samples: int,
-              weights: BernoulliWeights | None = None) -> GramSystem:
+def gram_fast(m_degree: int, n_samples: int) -> GramSystem:
     """Equispaced Chebyshev Gram matrix in O(M^2), independent of N.
 
     For m+n even the entry is N/(2(1-(m+n)^2)) + N/(2(1-(m-n)^2)) + 1 plus
@@ -171,7 +134,7 @@ def gram_fast(m_degree: int, n_samples: int,
     odd = (t.astype(int) % 2) == 1
     with np.errstate(divide="ignore"):
         analytic = n / (2.0 * (1.0 - t * t)) + n / (2.0 * (1.0 - d * d)) + 1.0
-    err = trapezium_error_matrix(m_degree, n_samples, weights)
+    err = trapezium_error_matrix(m_degree, n_samples)
     g = analytic + 0.5 * n * err
     g[odd] = 0.0
     subsampled = n_samples < 4 * m_degree * m_degree

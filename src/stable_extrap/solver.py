@@ -166,10 +166,7 @@ def fit(samples: SampleSet, m_degree: int,
 
     if samples.grid.kind == GridKind.EQUISPACED:
         method = GramMethod.FAST
-        system = gram_fast(m_degree, n)
-        if system.subsampled_warning:
-            notes.append(f"N={n} < 4*M^2: fast Gram accuracy not guaranteed")
-        g = system.matrix
+        g = gram_fast(m_degree, n).matrix
         b = rhs(samples.grid, samples.values, m_degree)
         if basis == Basis.LEGENDRE:
             # numpy's einsum loops, not BLAS, form the products, so the bits

@@ -39,6 +39,11 @@ __all__ = [
     "lebesgue_constant",
 ]
 
+# Stopping rule of the iterative eigensolvers (Jacobi and power iteration).
+_REL_TOL = 1e-13
+_MAX_SWEEPS = 100
+_MAX_POWER_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class DesignMatrix:
@@ -47,10 +52,6 @@ class DesignMatrix:
     entries: np.ndarray
     basis: Basis
     grid: Grid
-
-    @property
-    def degree(self) -> int:
-        return self.entries.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,11 @@ def _apply_rotations(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     a[q, p] = 0.0
 
 
-def jacobi_eigenvalues(a, rel_tol: float = 1e-13, max_sweeps: int = 100) -> np.ndarray:
+def jacobi_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi.
 
     Sweeps a fixed round-robin ordering of index pairs until the off-diagonal
-    Frobenius norm falls below rel_tol times the matrix Frobenius norm. Small
+    Frobenius norm falls below _REL_TOL times the matrix Frobenius norm. Small
     eigenvalues of positive definite matrices are resolved with high relative
     accuracy, which the conditioning checks rely on.
     """
@@ -166,30 +167,30 @@ def jacobi_eigenvalues(a, rel_tol: float = 1e-13, max_sweeps: int = 100) -> np.n
         return np.zeros(n)
     rounds = _round_robin_rounds(n)
     scratch = np.empty_like(a)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         # Off-diagonal norm summed directly: the difference fro^2 - sum(diag^2)
         # would drown the 1e-13 threshold in cancellation noise.
         np.copyto(scratch, a)
         np.fill_diagonal(scratch, 0.0)
         off_sq = float(np.sum(scratch * scratch))
-        if off_sq <= (rel_tol * fro) ** 2:
+        if off_sq <= (_REL_TOL * fro) ** 2:
             break
         for p, q in rounds:
             _apply_rotations(a, p, q)
     else:
-        raise RuntimeError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+        raise RuntimeError(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
     return np.sort(np.diagonal(a).copy())
 
 
-def _power_iteration(matvec, n: int, rel_tol: float, max_iter: int) -> float:
+def _power_iteration(matvec, n: int) -> float:
     """Dominant eigenvalue of the symmetric operator v -> matvec(v).
 
     Deterministic iteration from the all-ones direction; stops when the
-    residual ||A v - theta v|| falls below rel_tol * |theta|.
+    residual ||A v - theta v|| falls below _REL_TOL * |theta|.
     """
     v = np.full(n, 1.0 / math.sqrt(n))
     theta = 0.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_POWER_STEPS):
         w = matvec(v)
         theta = float(v @ w)
         resid = float(np.linalg.norm(w - theta * v))
@@ -197,13 +198,12 @@ def _power_iteration(matvec, n: int, rel_tol: float, max_iter: int) -> float:
         if norm == 0.0:
             return 0.0
         v = w / norm
-        if resid <= rel_tol * max(abs(theta), 1e-300):
+        if resid <= _REL_TOL * max(abs(theta), 1e-300):
             return theta
-    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+    raise RuntimeError(f"power iteration did not converge in {_MAX_POWER_STEPS} steps")
 
 
-def dominant_eigenvalue(a: np.ndarray, rel_tol: float = 1e-13,
-                        max_iter: int = 100000) -> float:
+def dominant_eigenvalue(a: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric matrix with nonnegative entries.
 
     Deterministic power iteration from the all-ones direction. For matrices
@@ -212,11 +212,10 @@ def dominant_eigenvalue(a: np.ndarray, rel_tol: float = 1e-13,
     spectrum is needed and a full Jacobi pass would be wasteful.
     """
     a = np.asarray(a, dtype=float)
-    return _power_iteration(lambda v: a @ v, a.shape[0], rel_tol, max_iter)
+    return _power_iteration(lambda v: a @ v, a.shape[0])
 
 
-def dominant_singular_value(b: np.ndarray, rel_tol: float = 1e-13,
-                            max_iter: int = 100000) -> float:
+def dominant_singular_value(b: np.ndarray) -> float:
     """Largest singular value of a matrix with nonnegative entries.
 
     The power iteration of dominant_eigenvalue on b^T b, applied as
@@ -226,7 +225,7 @@ def dominant_singular_value(b: np.ndarray, rel_tol: float = 1e-13,
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
         raise ValueError("expected a matrix")
-    lam = _power_iteration(lambda v: b.T @ (b @ v), b.shape[1], rel_tol, max_iter)
+    lam = _power_iteration(lambda v: b.T @ (b @ v), b.shape[1])
     return math.sqrt(max(lam, 0.0))
 
 

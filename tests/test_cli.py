@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,47 @@ class TestJsonWriter:
     def test_nested_structure(self):
         doc = {"a": [1, {"b": True, "c": None}], "d": "text"}
         assert json.loads(json_dumps(doc)) == doc
+
+    def test_integral_floats_stay_floats(self):
+        back = json.loads(json_dumps({"rho": 2.0, "z": 0.0}))
+        assert all(type(v) is float for v in back.values())
+
+
+def python_scalars_only(obj) -> bool:
+    if isinstance(obj, dict):
+        return all(type(k) is str and python_scalars_only(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return all(python_scalars_only(v) for v in obj)
+    return type(obj) in (int, float, str, bool, type(None))
+
+
+def test_documents_hold_only_python_scalars(tmp_path, monkeypatch):
+    # The stdlib encoder rejects numpy scalars such as np.int64, so every
+    # command must build its document from Python ones.
+    documents = []
+
+    def capturing_json_dumps(obj):
+        documents.append(obj)
+        return json_dumps(obj)
+
+    monkeypatch.setattr(stable_extrap.cli, "json_dumps", capturing_json_dumps)
+    csv_path = tmp_path / "f.csv"
+    write_samples(csv_path, 400, lambda x: 1.0 / (1.0 + x ** 2))
+    commands = (
+        ["fit", "--input", str(csv_path), "--M", "12"],
+        ["fit", "--input", str(csv_path), "--auto", "--rho", "2", "--eps", "1e-10",
+         "--Q", "1.5", "--basis", "leg"],
+        ["extrapolate", "--input", str(csv_path), "--rho", "2", "--eps", "1e-10",
+         "--Q", "1.5", "--at", "1.0,1.1"],
+        ["verify", "--suite", "all"],
+    )
+    for argv in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # fit --M 12 at N=400 is past sqrt(N)/2
+            assert main(argv + ["--output", str(tmp_path / "out.json")]) in (0, 1)
+    assert len(documents) == len(commands)
+    for doc in documents:
+        assert python_scalars_only(doc)
 
 
 class TestReadSamples:
@@ -265,6 +307,17 @@ class TestExtrapolateCommand:
         assert first["alpha"] == pytest.approx(1.0, abs=5e-15)
         assert {"value", "r", "bound_explicit", "bound_factor",
                 "regime", "M_star"} <= set(first)
+
+    def test_integral_floats_written_as_floats(self, tmp_path):
+        csv_path = tmp_path / "f.csv"
+        out_path = tmp_path / "ext.json"
+        write_samples(csv_path, 400, lambda x: 1.0 / (1.0 + x ** 2))
+        assert main(["extrapolate", "--input", str(csv_path),
+                     "--rho", "2", "--eps", "1e-10", "--Q", "1.5",
+                     "--at", "1.0", "--output", str(out_path)]) == 0
+        doc = json.loads(out_path.read_text())
+        assert type(doc["rho"]) is float
+        assert type(doc["points"][0]["x"]) is float
 
     def test_out_of_interval_exits_2(self, tmp_path, capsys):
         csv_path = tmp_path / "f.csv"

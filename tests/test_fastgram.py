@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 import stable_extrap
+from stable_extrap import fastgram
 from stable_extrap import (
     Basis,
-    BernoulliWeights,
     Grid,
     GridKind,
     design_matrix,
@@ -47,34 +48,27 @@ def fold_chunks(n):
     return sorted({1, max(h - 1, 1), h, 10 ** 9})
 
 
+def exact_weights(s_max):
+    """Oracle: B_{s+1}/(s+1)! for odd s <= s_max, from bernoulli_numbers."""
+    b = bernoulli_numbers(s_max + 1)
+    return {s: float(b[s + 1] / Fraction(math.factorial(s + 1)))
+            for s in range(1, s_max + 1, 2)}
+
+
 class TestBernoulliWeights:
     def test_exact_table_against_recurrence(self):
-        b = bernoulli_numbers(10)
-        w = BernoulliWeights()
-        for s in (1, 3, 5, 7, 9):
-            exact = b[s + 1] / Fraction(math.factorial(s + 1))
-            assert w.weight(s) == pytest.approx(float(exact), rel=1e-15)
+        weights = fastgram._EXACT_WEIGHTS
+        assert list(weights) == [1, 3, 5, 7, 9]
+        for s, exact in exact_weights(9).items():
+            assert weights[s] == pytest.approx(exact, rel=1e-15)
 
     def test_exact_table_values(self):
-        w = BernoulliWeights()
-        assert w.weight(1) == pytest.approx(1 / 12)
-        assert w.weight(3) == pytest.approx(-1 / 720)
-        assert w.weight(5) == pytest.approx(1 / 30240)
-        assert w.weight(7) == pytest.approx(-1 / 1209600)
-        assert w.weight(9) == pytest.approx(1 / 47900160)
-
-    def test_asymptotic_matches_exact_at_s11(self):
-        b = bernoulli_numbers(12)
-        exact = float(b[12] / Fraction(math.factorial(12)))
-        assert BernoulliWeights().asymptotic(11) == pytest.approx(exact, rel=1e-9)
-
-    def test_even_order_rejected(self):
-        with pytest.raises(ValueError):
-            BernoulliWeights().weight(2)
-
-    def test_orders_respect_truncation(self):
-        assert BernoulliWeights().orders(99) == [1, 3, 5, 7, 9]
-        assert BernoulliWeights(truncation_s=20).orders(7) == [1, 3, 5, 7]
+        w = fastgram._EXACT_WEIGHTS
+        assert w[1] == pytest.approx(1 / 12)
+        assert w[3] == pytest.approx(-1 / 720)
+        assert w[5] == pytest.approx(1 / 30240)
+        assert w[7] == pytest.approx(-1 / 1209600)
+        assert w[9] == pytest.approx(1 / 47900160)
 
 
 class TestTrapeziumErrorMatrix:
@@ -111,31 +105,35 @@ class TestTrapeziumErrorMatrix:
         with pytest.raises(ValueError):
             trapezium_error_matrix(0, 100)
 
-    def test_warns_when_undersampled(self):
-        with pytest.warns(UserWarning, match="4\\*M\\^2"):
+    def test_undersampled_is_flagged_not_warned(self):
+        # N < 4M^2 is the condition fit already warns about (M > sqrt(N)/2);
+        # the Gram only flags it, so the caller sees one warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             trapezium_error_matrix(10, 100)
+            system = gram_fast(10, 100)
+        assert system.subsampled_warning
 
     def test_exactly_symmetric(self):
         e = trapezium_error_matrix(9, 400)
         assert np.array_equal(e, e.T)
 
-    def test_truncation_robustness(self):
-        # Raising the cutoff beyond the default changes nothing measurable
-        # while M <= sqrt(N)/2.
-        for m_deg, n in ((5, 100), (20, 1600), (40, 6400)):
-            e10 = trapezium_error_matrix(m_deg, n, BernoulliWeights(truncation_s=10))
-            e20 = trapezium_error_matrix(m_deg, n, BernoulliWeights(truncation_s=20))
-            assert np.max(np.abs(e10 - e20)) * 0.5 * n <= 1e-12 * n
+    def test_truncation_robustness(self, monkeypatch):
+        # Extending the table with the exact s = 11..19 weights changes
+        # nothing measurable while M <= sqrt(N)/2.
+        cases = ((5, 100), (20, 1600), (40, 6400))
+        e9 = [trapezium_error_matrix(m_deg, n) for m_deg, n in cases]
+        monkeypatch.setattr(fastgram, "_EXACT_WEIGHTS", exact_weights(19))
+        for (m_deg, n), short in zip(cases, e9):
+            e19 = trapezium_error_matrix(m_deg, n)
+            assert np.max(np.abs(short - e19)) * 0.5 * n <= 1e-12 * n
 
 
 class TestGramFast:
     def test_corner_entry(self):
-        import warnings
         for n in (1, 5, 1000):
             assert gram_fast(0, n).matrix[0, 0] == n + 1
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # n < 4 M^2 is intentional here
-                assert gram_fast(3, n).matrix[0, 0] == n + 1
+            assert gram_fast(3, n).matrix[0, 0] == n + 1
 
     def test_odd_entries_exactly_zero(self):
         g = gram_fast(9, 400).matrix
@@ -148,7 +146,6 @@ class TestGramFast:
         g = gram_fast(12, 700).matrix
         assert np.array_equal(g, g.T)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_sum_of_squares_entry_exact(self):
         # (1,1) entry is sum x_k^2 = N/3 + 1 + 2/(3N); check against the
         # direct sum for small N where it is computable exactly.
@@ -167,8 +164,7 @@ class TestGramFast:
         assert np.max(np.abs(fast - naive)) <= 1e-10 * n
 
     def test_subsampled_flag(self):
-        with pytest.warns(UserWarning):
-            system = gram_fast(10, 100)
+        system = gram_fast(10, 100)
         assert system.subsampled_warning
         assert not gram_fast(10, 400).subsampled_warning
 

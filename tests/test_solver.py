@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,17 @@ class TestFit:
         with pytest.warns(UserWarning, match="sqrt"):
             result = fit(samples, 11)
         assert any("sqrt" in w for w in result.warnings)
+
+    def test_one_warning_past_conditioning_boundary(self):
+        # M > sqrt(N)/2 and N < 4M^2 are one condition: one warning, charged
+        # to the caller's line, and one note.
+        samples = equispaced_samples(np.cos, 100)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fit(samples, 11)
+        assert [w.category for w in caught] == [UserWarning]
+        assert caught[0].filename == __file__
+        assert len(result.warnings) == 1
 
     def test_square_system_fails_loudly(self):
         # Interpolation-sized systems are exponentially ill conditioned; the
