@@ -6,6 +6,14 @@ entry equals the integral plus an endpoint term plus a correction series with
 weighted-Bernoulli coefficients. The correction products depend only on
 (m-n)^2 and (m+n)^2 (a Toeplitz-plus-Hankel structure), so the whole
 (M+1) x (M+1) matrix assembles in O(M^2) work, independent of N.
+
+The right-hand side b_m = sum_k y_k T_m(x_k) is the one O(MN) step. The
+grid is a union of translates of one set of local nodes, so rhs replaces
+each panel of w points by its moments against the fixed matrix T_l(t_i)
+(the anterpolation step of fast multipole and NUFFT-type methods), which is
+exact for the degree-M polynomials a panel carries: one einsum contraction
+per block of panels, about NK/2 multiply-adds with K = M+1, and the
+three-term recurrence over only K proxies per panel.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import Grid
+from .basis import Basis, Grid, _recurrence
 
 __all__ = [
     "GramMethod",
@@ -29,6 +37,10 @@ __all__ = [
 _MIRROR_TOL = 1e-15
 # Largest |x_k - (2k/N - 1)| that rhs accepts as equispaced (cli.X_MATCH_TOL).
 _GRID_TOL = 1e-12
+# rhs panels: at most this many points, and the panel matrix T_l(t_i) at
+# most this many entries (512 KB).
+_PANEL_MAX = 2048
+_PANEL_ENTRIES = 65536
 
 # B_{s+1}/(s+1)! for the odd correction orders s; even-order corrections
 # vanish identically. Under M <= sqrt(N)/2 each factor (t^2 - j^2)/(N(j+1/2))
@@ -141,6 +153,108 @@ def gram_fast(m_degree: int, n_samples: int) -> GramSystem:
     return GramSystem(g, correction_terms=err, subsampled_warning=subsampled)
 
 
+def _parity_sums(z: np.ndarray, even_w: np.ndarray, odd_w: np.ndarray,
+                 m_degree: int) -> np.ndarray:
+    """sum_i T_m(z_i) w_i for m = 0..M, with w = even_w for even m and
+    odd_w for odd m: the three-term recurrence, in place in buffers of z's
+    length, each degree reduced by numpy's own einsum (np.sum for degree 0)
+    in a fixed order."""
+    out = np.zeros(m_degree + 1)
+    out[0] = even_w.sum()
+    if m_degree == 0:
+        return out
+    t_prev, t_next, z2 = np.ones(z.size), np.empty(z.size), 2.0 * z
+    t_cur = z.copy()
+    out[1] = np.einsum("i,i->", t_cur, odd_w)
+    for k in range(2, m_degree + 1):
+        np.multiply(z2, t_cur, out=t_next)
+        t_next -= t_prev
+        t_prev, t_cur, t_next = t_cur, t_next, t_prev
+        out[k] = np.einsum("i,i->", t_cur, odd_w if k % 2 else even_w)
+    return out
+
+
+def _panel_width(n_coeffs: int) -> int:
+    """Largest power of two <= min(_PANEL_MAX, _PANEL_ENTRIES / (M+1))."""
+    cap = min(_PANEL_MAX, _PANEL_ENTRIES // n_coeffs)
+    return 1 << (cap.bit_length() - 1)
+
+
+def _panel_operators(n_coeffs: int, width: int):
+    """The fixed matrices of a panel of `width` points and K = M+1 proxies.
+
+    Returns (local, to_nodes, tau). local[a, j, i] is T_{2j+a}(t_{w/2+i}),
+    the even (a = 0) and odd (a = 1) degrees at the right half of the local
+    nodes t_i = (2i - (w-1))/w. to_nodes[a, j, k] is
+    (c/K) T_{2j+a}(tau_k), c = 1 for degree 0 and 2 otherwise, at the K
+    Chebyshev points tau_k = cos((k+1/2)pi/K). Rows past degree M are zero.
+    """
+    k, h = n_coeffs, width // 2
+    theta = (np.arange(k) + 0.5) * np.pi / k
+    tau = np.cos(theta)
+    t = (2.0 * np.arange(h, width) - (width - 1)) / width  # exact in binary
+    rows = (k + 1) // 2
+    local = np.zeros((2, rows, h))
+    for m, t_m in enumerate(_recurrence(Basis.CHEBYSHEV, t, k - 1)):
+        local[m % 2, m // 2] = t_m
+    scale = np.full(k, 2.0 / k)
+    scale[0] = 1.0 / k
+    cheb_at_nodes = scale[:, None] * np.cos(np.arange(k)[:, None] * theta)
+    to_nodes = np.zeros((2, rows, k))
+    to_nodes[0] = cheb_at_nodes[0::2]
+    to_nodes[1, :k // 2] = cheb_at_nodes[1::2]
+    return local, to_nodes, tau
+
+
+def _proxy_sums(nu: np.ndarray, first: int, width: int, n: int, tau: np.ndarray,
+                m_degree: int) -> np.ndarray:
+    """_parity_sums over the proxies of panels first, first+1, ...: panel p's
+    K proxies sit at c_p + (w/N) tau, c_p = (2pw + w - 1)/N - 1, with the
+    even and odd weights nu[0, p - first] and nu[1, p - first]."""
+    p = first + np.arange(nu.shape[1])
+    z = (2.0 * width * p + (width - 1))[:, None] / n - 1.0 + (width / n) * tau
+    return _parity_sums(z.reshape(-1), nu[0].reshape(-1), nu[1].reshape(-1),
+                        m_degree)
+
+
+def _folded_blocks(x: np.ndarray, y: np.ndarray, s: np.ndarray, d: np.ndarray):
+    """Check the left half of the grid block by block and fold its samples.
+
+    For each block of up to s.size points from k = lo, checks that the grid
+    is mirror-symmetric and equispaced there, writes s_k = y_k + y_{N-k} and
+    d_k = y_k - y_{N-k} into s and d, and yields (lo, point count). The
+    middle point of an even N goes into s only (s = y_{N/2}, d = 0).
+    """
+    n = x.size - 1
+    half = n // 2 + 1
+    x_mirror, y_mirror = x[::-1], y[::-1]
+    width = s.size
+    ramp = 2.0 * np.arange(width) / n - 1.0  # the grid's first `width` points
+    for lo in range(0, half, width):
+        hi = min(lo + width, half)
+        xc, sb, db = x[lo:hi], s[:hi - lo], d[:hi - lo]
+        np.add(xc, x_mirror[lo:hi], out=sb)
+        if not (sb.max() <= _MIRROR_TOL and sb.min() >= -_MIRROR_TOL):
+            k = lo + int(np.flatnonzero(~(np.abs(sb) <= _MIRROR_TOL))[0])
+            raise ValueError(
+                f"grid is not mirror-symmetric: |x[{k}] + x[{n - k}]| = "
+                f"{abs(x[k] + x[n - k]):.3e} > {_MIRROR_TOL:g}"
+            )
+        np.subtract(xc, ramp[:hi - lo], out=db)
+        db -= 2.0 * lo / n
+        if not (db.max() <= _GRID_TOL and db.min() >= -_GRID_TOL):
+            k = lo + int(np.flatnonzero(~(np.abs(db) <= _GRID_TOL))[0])
+            raise ValueError(
+                f"grid is not equispaced: |x[{k}] - (2*{k}/{n} - 1)| = "
+                f"{abs(x[k] - (2.0 * k / n - 1.0)):.3e} > {_GRID_TOL:g}"
+            )
+        np.add(y[lo:hi], y_mirror[lo:hi], out=sb)
+        np.subtract(y[lo:hi], y_mirror[lo:hi], out=db)
+        if hi == half and n % 2 == 0:
+            sb[-1], db[-1] = y[n // 2], 0.0
+        yield lo, hi - lo
+
+
 def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
     """Right-hand side T_M(x)^T y over the left half of a mirrored grid.
 
@@ -149,18 +263,45 @@ def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
     and its left half must be equispaced, |x_k - (2k/N - 1)| <= 1e-12, as the
     fast Gram assumes; the mirror check carries that to the right half.
     The samples are folded into s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k}
-    for k < N/2, with the middle point of an even N counted once
-    (s = d = y_{N/2}). Even degrees accumulate T_m(x_k) s_k and odd degrees
-    T_m(x_k) d_k, so the three-term recurrence runs over only
-    ceil((N+1)/2) points: about MN/2 multiply-adds, done in place in
-    preallocated buffers of `chunk` points, so the extra space is
-    O(M + chunk). Mirrored samples give odd-degree entries, and
-    antisymmetric samples even-degree entries, that are exactly zero.
+    for k < N/2; the middle point of an even N goes into s only (s = y_{N/2},
+    d = 0, as T_m(0) = 0 for odd m). Even degrees take T_m(x_k) s_k and odd
+    degrees T_m(x_k) d_k over the ceil((N+1)/2) folded points. Mirrored
+    samples give odd-degree entries, and antisymmetric samples even-degree
+    entries, that are exactly zero.
 
-    Each chunk is reduced by numpy's own single-threaded kernels in a fixed
-    order (np.sum for degree 0, einsum for the others), never by BLAS,
-    whose dot product splits long vectors across threads; the bits
-    therefore do not depend on the number of BLAS threads.
+    The folded half is cut into panels of w points, x = c_p + (w/N) t_i,
+    with the same local nodes t_i = (2i - (w-1))/w in every panel (w is a
+    power of two, at most 2048 and at most 65536/K with K = M+1, so the t_i
+    are exact). On a panel each T_m, m <= M, is a polynomial q of degree
+    <= M in t, and sum_i s_i q(t_i) = sum_k nu_k q(tau_k) exactly in real
+    arithmetic. Here tau_k are the K Chebyshev points, mu_l = sum_i s_i
+    T_l(t_i) are the panel's moments and nu = mu diag(1/K, 2/K, ..., 2/K)
+    T(tau)^T, by the discrete orthogonality of T_0..T_M on the tau_k. So the
+    w points of a panel become K proxies z = c_p + (w/N) tau_k with weights
+    nu, and the recurrence runs over the proxies only. The moments of a
+    block of panels are one einsum against the fixed K x w matrix T_l(t_i),
+    halved by the symmetry t_{w-1-i} = -t_i. The cost is about NK/2
+    multiply-adds there, P K^2 for nu and P K M for the recurrence over the
+    PK proxies of P panels. The last panel is zero-padded and, because of
+    the fold, stays inside [-1, 1]; the first panel's outermost proxy may
+    lie up to 1/N below -1. The proxies sit at the ideal positions 2k/N - 1,
+    which the equispacing check holds the grid to.
+
+    Compression runs when half >= w and w >= 4K, so that it pays, and when
+    M <= sqrt(N)/2, so that |T_M| <= cosh(M sqrt(2/N)) <= 1.26 at every
+    proxy and each panel is short on the scale of T_M's oscillation. Past
+    that boundary a panel's local polynomial uses its full degree near
+    t = +-1, where T_l(t) is most sensitive to rounding, and the panels lost
+    up to 100 times more digits than the plain recurrence (M = 127,
+    N = 1023). Otherwise every point is its own proxy and the same
+    recurrence runs over the points themselves.
+
+    Blocks hold max(1, chunk // w) panels, or chunk points when nothing is
+    compressed, and the proxies are summed in batches of about chunk, so
+    the extra space is O(chunk + Kw), about 2 MB at the default. Every
+    product and reduction is numpy's own single-threaded einsum (or np.sum)
+    in a fixed order, never a BLAS kernel, which can split work across
+    threads; the bits therefore do not depend on the number of BLAS threads.
 
     Raises ValueError naming the first offending k if the grid is not
     mirror-symmetric or not equispaced (the mirror check comes first), and
@@ -181,48 +322,40 @@ def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
     if n < 1:
         raise ValueError("an equispaced grid needs N >= 1")
     half = n // 2 + 1
-    x_mirror, y_mirror = x[::-1], y[::-1]
-    width = min(chunk, half)
-    s_buf, d_buf, x2_buf, t_a, t_b, t_c = (np.empty(width) for _ in range(6))
-    ramp = 2.0 * np.arange(width) / n - 1.0  # the grid's first `width` points
-    b = np.zeros(m_degree + 1)
-    for lo in range(0, half, chunk):
-        hi = min(lo + chunk, half)
-        xc, yc, ym = x[lo:hi], y[lo:hi], y_mirror[lo:hi]
-        w = hi - lo
-        s, d, x2 = s_buf[:w], d_buf[:w], x2_buf[:w]
-        np.add(xc, x_mirror[lo:hi], out=s)
-        np.abs(s, out=s)
-        if not s.max() <= _MIRROR_TOL:
-            k = lo + int(np.flatnonzero(~(s <= _MIRROR_TOL))[0])
-            raise ValueError(
-                f"grid is not mirror-symmetric: |x[{k}] + x[{n - k}]| = "
-                f"{abs(x[k] + x[n - k]):.3e} > {_MIRROR_TOL:g}"
-            )
-        np.subtract(xc, ramp[:w], out=d)
-        d -= 2.0 * lo / n
-        np.abs(d, out=d)
-        if not d.max() <= _GRID_TOL:
-            k = lo + int(np.flatnonzero(~(d <= _GRID_TOL))[0])
-            raise ValueError(
-                f"grid is not equispaced: |x[{k}] - (2*{k}/{n} - 1)| = "
-                f"{abs(x[k] - (2.0 * k / n - 1.0)):.3e} > {_GRID_TOL:g}"
-            )
-        np.add(yc, ym, out=s)
-        np.subtract(yc, ym, out=d)
-        if hi == half and n % 2 == 0:
-            s[-1] = d[-1] = y[n // 2]
-        b[0] += s.sum()
-        if m_degree == 0:
-            continue
-        t_prev, t_cur, t_next = t_a[:w], t_b[:w], t_c[:w]
-        t_prev.fill(1.0)
-        t_cur[:] = xc
-        np.multiply(xc, 2.0, out=x2)
-        b[1] += np.einsum("i,i->", t_cur, d)
-        for k in range(2, m_degree + 1):
-            np.multiply(x2, t_cur, out=t_next)
-            t_next -= t_prev
-            t_prev, t_cur, t_next = t_cur, t_next, t_prev
-            b[k] += np.einsum("i,i->", t_cur, d if k % 2 else s)
-    return b
+    k = m_degree + 1
+    w = _panel_width(k)
+    if half < w or w < 4 * k or n < 4 * m_degree * m_degree:
+        w = 1  # every point is its own proxy
+    total = -(-half // w)  # panels, the last one zero-padded
+    panels = max(1, min(chunk // w, total))
+    sd = np.empty((2, panels, w))
+    s, d = sd[0].reshape(-1), sd[1].reshape(-1)
+    b = np.zeros(k)
+    if w == 1:
+        for lo, count in _folded_blocks(x, y, s, d):
+            b += _parity_sums(x[lo:lo + count], s[:count], d[:count], m_degree)
+        return b
+
+    local, to_nodes, tau = _panel_operators(k, w)
+    h = w // 2
+    folded = np.empty((2, 2, panels, h))
+    moments = np.empty((2, 2, panels, local.shape[1]))
+    batch = max(panels, min(chunk // k, total))  # panels per proxy sum
+    nu = np.empty((2, batch, k))
+    first = filled = 0  # nu[:, :filled] holds panels first, first+1, ...
+    for lo, count in _folded_blocks(x, y, s, d):
+        p = -(-count // w)
+        s[count:p * w] = 0.0
+        d[count:p * w] = 0.0
+        if filled + p > batch:
+            b += _proxy_sums(nu[:, :filled], first, w, n, tau, m_degree)
+            first, filled = first + filled, 0
+        block = sd[:, :p]
+        np.add(block[..., h:], block[..., h - 1::-1], out=folded[0, :, :p])
+        np.subtract(block[..., h:], block[..., h - 1::-1], out=folded[1, :, :p])
+        np.einsum("aqpi,ali->aqpl", folded[:, :, :p], local,
+                  out=moments[:, :, :p])
+        np.einsum("aqpl,alk->qpk", moments[:, :, :p], to_nodes,
+                  out=nu[:, filled:filled + p])
+        filled += p
+    return b + _proxy_sums(nu[:, :filled], first, w, n, tau, m_degree)

@@ -3,14 +3,15 @@
 The Gram matrix is well conditioned whenever M <= sqrt(N)/2, so Cholesky on
 the normal equations is the right tool here; QR on the tall design matrix
 would forfeit the O(M^2) fast assembly path for no stability gain in this
-regime. The grid alone picks how the normal equations are assembled (fit).
+regime. The grid and the degree pick how the normal equations are
+assembled (fit).
 """
 
 from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,8 +50,22 @@ class FitResult:
     gram_cond_estimate: float  # kappa_2 of gram, the design's kappa squared
     sigma_min: float  # smallest singular value of the design matrix
     method: GramMethod
-    gram: np.ndarray  # the normal-equation matrix that was solved, read-only
+    # The dense route's Gram, read-only; None on the fast route, whose Gram
+    # depends on (M, N) alone, so a kept result holds O(M) numbers, not O(M^2).
+    dense_gram: np.ndarray | None = field(repr=False)
     warnings: tuple[str, ...] = ()
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The normal-equation matrix that was solved, read-only; a fast-route
+        Gram is rebuilt on each access, with the bits the solve used."""
+        if self.dense_gram is not None:
+            return self.dense_gram
+        basis = (Basis.CHEBYSHEV if isinstance(self.series, ChebyshevSeries)
+                 else Basis.LEGENDRE)
+        g = _equispaced_gram(self.m_degree, self.n_samples, basis)
+        g.setflags(write=False)
+        return g
 
 
 @dataclass(frozen=True)
@@ -129,6 +144,19 @@ def legendre_to_chebyshev(series: LegendreSeries) -> ChebyshevSeries:
     return ChebyshevSeries(s.entries @ series.coeffs)
 
 
+def _equispaced_gram(m_degree: int, n: int, basis: Basis) -> np.ndarray:
+    """The fast route's normal-equation matrix: the Chebyshev Gram G, or
+    S^T G S for a Legendre fit (V_leg = V_cheb S). numpy's einsum loops, not
+    BLAS, form the products, so the bits do not depend on the BLAS thread
+    count."""
+    g = gram_fast(m_degree, n).matrix
+    if basis == Basis.LEGENDRE:
+        s = basis_change_matrix(m_degree).entries
+        sgs = np.einsum("ki,kj->ij", s, np.einsum("kl,lj->kj", g, s))
+        g = 0.5 * (sgs + sgs.T)
+    return g
+
+
 def _naive_system(samples: SampleSet, m_degree: int, basis: Basis):
     v = design_matrix(samples.grid, m_degree, basis)
     g = gram_naive(v)
@@ -142,13 +170,18 @@ def fit(samples: SampleSet, m_degree: int,
         basis: Basis = Basis.CHEBYSHEV) -> FitResult:
     """Least-squares polynomial fit of degree M to the sample values.
 
-    An equispaced grid takes the fast Chebyshev Gram G and right-hand side b
-    in O(M^2 + MN), in either basis: V_leg = V_cheb S with
-    S = basis_change_matrix(M), so a Legendre fit solves S^T G S c = S^T b.
-    Any other grid takes the dense design-matrix product. The factorization
+    An equispaced grid with M <= sqrt(N)/2 takes the fast Chebyshev Gram G
+    and right-hand side b in O(M^2 + MN), in either basis: V_leg = V_cheb S
+    with S = basis_change_matrix(M), so a Legendre fit solves
+    S^T G S c = S^T b. Past M = sqrt(N)/2 the fast Gram's truncated
+    correction series is no longer accurate (1e-5 N at M = 20, N = 100), so
+    such a fit, and a fit on any other grid, takes the dense design-matrix
+    product; the one warning says so. The factorization
     is Cholesky with a single 1e-14*trace(G) shift retry when the Gram is
     semidefinite to tolerance, and the solved system is verified to a
-    residual of 1e-10 * ||b||. sigma_min and kappa come from the solved Gram.
+    residual of 1e-10 * ||b||. sigma_min and kappa come from the solved Gram;
+    a Gram whose smallest eigenvalue is not positive raises SolverError even
+    when its Cholesky factorization succeeded.
     """
     basis = Basis(basis)
     n = samples.n
@@ -158,22 +191,22 @@ def fit(samples: SampleSet, m_degree: int,
         raise ValueError(f"degree M={m_degree} exceeds N={n}")
 
     notes: list[str] = []
-    if m_degree > 0.5 * math.sqrt(n):
+    subsampled = n < 4 * m_degree * m_degree  # M > sqrt(N)/2
+    equispaced = samples.grid.kind == GridKind.EQUISPACED
+    if subsampled:
         msg = (f"M={m_degree} exceeds sqrt(N)/2={0.5 * math.sqrt(n):.2f}; "
                "conditioning guarantees no longer apply")
+        if equispaced:
+            msg += "; the fast Gram was bypassed for the dense one"
         _warnings.warn(msg, stacklevel=2)
         notes.append(msg)
 
-    if samples.grid.kind == GridKind.EQUISPACED:
+    if equispaced and not subsampled:
         method = GramMethod.FAST
-        g = gram_fast(m_degree, n).matrix
+        g = _equispaced_gram(m_degree, n, basis)
         b = rhs(samples.grid, samples.values, m_degree)
         if basis == Basis.LEGENDRE:
-            # numpy's einsum loops, not BLAS, form the products, so the bits
-            # do not depend on the BLAS thread count.
-            s = basis_change_matrix(m_degree).entries
-            sgs = np.einsum("ki,kj->ij", s, np.einsum("kl,lj->kj", g, s))
-            g, b = 0.5 * (sgs + sgs.T), np.einsum("ki,k->i", s, b)
+            b = np.einsum("ki,k->i", basis_change_matrix(m_degree).entries, b)
     else:
         method = GramMethod.NAIVE
         g, b = _naive_system(samples, m_degree, basis)
@@ -190,11 +223,17 @@ def fit(samples: SampleSet, m_degree: int,
         )
 
     report = spectral_report(g)
+    if report.sigma_min == 0.0:
+        raise SolverError(
+            f"Gram matrix numerically singular: its smallest eigenvalue is "
+            f"not positive (M={m_degree}, N={n}); expected only when M >> sqrt(N)"
+        )
     series = (ChebyshevSeries(coeffs) if basis == Basis.CHEBYSHEV
               else LegendreSeries(coeffs))
     g.setflags(write=False)
     return FitResult(series, m_degree, n, report.cond2 ** 2, report.sigma_min,
-                     method, g, tuple(notes))
+                     method, g if method == GramMethod.NAIVE else None,
+                     tuple(notes))
 
 
 def _cholesky_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:

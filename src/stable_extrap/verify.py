@@ -123,6 +123,18 @@ def _design_spectrum(m_degree: int, n_samples: int, basis: Basis) -> np.ndarray:
     return np.linalg.eigvalsh(gram_naive(v))
 
 
+def _spectrum(m_degree: int, n_samples: int, basis: Basis,
+              spectra: dict | None) -> np.ndarray:
+    """The design spectrum, computed once per key of the `spectra` memo."""
+    if spectra is None:
+        return _design_spectrum(m_degree, n_samples, basis)
+    key = (m_degree, n_samples, basis)
+    if key not in spectra:
+        spectra[key] = _design_spectrum(m_degree, n_samples, basis)
+        spectra[key].setflags(write=False)  # shared by the checks that read it
+    return spectra[key]
+
+
 def _require_half_sqrt(m_degree: int, n_samples: int) -> None:
     if m_degree > 0.5 * math.sqrt(n_samples):
         raise ValueError(
@@ -130,11 +142,16 @@ def _require_half_sqrt(m_degree: int, n_samples: int) -> None:
         )
 
 
-def check_legendre_singular_bounds(m_degree: int, n_samples: int) -> tuple[CheckResult, ...]:
+def check_legendre_singular_bounds(m_degree: int, n_samples: int, *,
+                                   spectra: dict | None = None) -> tuple[CheckResult, ...]:
     """Extreme squared singular values of the equispaced Legendre design
-    matrix against their guaranteed envelope (tight and simplified forms)."""
+    matrix against their guaranteed envelope (tight and simplified forms).
+
+    This and the other design-spectrum checks take an optional `spectra`
+    dict, a memo keyed by (M, N, basis) that run_suite shares among its
+    checks for the length of one call."""
     _require_half_sqrt(m_degree, n_samples)
-    lam = _design_spectrum(m_degree, n_samples, Basis.LEGENDRE)
+    lam = _spectrum(m_degree, n_samples, Basis.LEGENDRE, spectra)
     sigma1_sq = float(lam[-1])
     sigma_min_sq = float(lam[0])
     params = {"M": m_degree, "N": n_samples}
@@ -156,12 +173,13 @@ def check_legendre_singular_bounds(m_degree: int, n_samples: int) -> tuple[Check
     )
 
 
-def check_cheb_singular_bounds(m_degree: int, n_samples: int) -> tuple[CheckResult, ...]:
+def check_cheb_singular_bounds(m_degree: int, n_samples: int, *,
+                               spectra: dict | None = None) -> tuple[CheckResult, ...]:
     """Extreme squared singular values of the equispaced Chebyshev design
     matrix: sigma1^2 <= 3N and sigma_min^2 >= sigma_min(Legendre)^2 / 25."""
     _require_half_sqrt(m_degree, n_samples)
-    lam_t = _design_spectrum(m_degree, n_samples, Basis.CHEBYSHEV)
-    lam_p = _design_spectrum(m_degree, n_samples, Basis.LEGENDRE)
+    lam_t = _spectrum(m_degree, n_samples, Basis.CHEBYSHEV, spectra)
+    lam_p = _spectrum(m_degree, n_samples, Basis.LEGENDRE, spectra)
     params = {"M": m_degree, "N": n_samples}
     return (
         _result("chebyshev-sigma-max-sq", params, float(lam_t[-1]), 3.0 * n_samples),
@@ -170,19 +188,21 @@ def check_cheb_singular_bounds(m_degree: int, n_samples: int) -> tuple[CheckResu
     )
 
 
-def check_legendre_gram_condition(m_degree: int, n_samples: int) -> tuple[CheckResult, ...]:
+def check_legendre_gram_condition(m_degree: int, n_samples: int, *,
+                                  spectra: dict | None = None) -> tuple[CheckResult, ...]:
     """kappa_2 of the Legendre normal-equation matrix against 5(2M+1)."""
     _require_half_sqrt(m_degree, n_samples)
-    lam = _design_spectrum(m_degree, n_samples, Basis.LEGENDRE)
+    lam = _spectrum(m_degree, n_samples, Basis.LEGENDRE, spectra)
     kappa = float(lam[-1]) / float(lam[0])
     return (_result("legendre-gram-condition", {"M": m_degree, "N": n_samples},
                     kappa, 5.0 * (2 * m_degree + 1)),)
 
 
-def check_cheb_gram_condition(m_degree: int, n_samples: int) -> tuple[CheckResult, ...]:
+def check_cheb_gram_condition(m_degree: int, n_samples: int, *,
+                              spectra: dict | None = None) -> tuple[CheckResult, ...]:
     """kappa_2 of the Chebyshev normal-equation matrix against 187.5(2M+1)."""
     _require_half_sqrt(m_degree, n_samples)
-    lam = _design_spectrum(m_degree, n_samples, Basis.CHEBYSHEV)
+    lam = _spectrum(m_degree, n_samples, Basis.CHEBYSHEV, spectra)
     kappa = float(lam[-1]) / float(lam[0])
     return (_result("chebyshev-gram-condition", {"M": m_degree, "N": n_samples},
                     kappa, 187.5 * (2 * m_degree + 1)),)
@@ -275,20 +295,20 @@ def check_interpolation_sandwich(n_samples: int) -> tuple[CheckResult, ...]:
     )
 
 
-def _suite_singular_values(n_list=(64, 256, 1024, 4096)):
+def _suite_singular_values(spectra, n_list=(64, 256, 1024, 4096)):
     out = []
     for n in n_list:
         m = int(math.floor(0.5 * math.sqrt(n)))
-        out += list(check_legendre_singular_bounds(m, n))
-        out += list(check_cheb_singular_bounds(m, n))
+        out += list(check_legendre_singular_bounds(m, n, spectra=spectra))
+        out += list(check_cheb_singular_bounds(m, n, spectra=spectra))
     return out
 
 
-def _suite_conditioning(pairs=((5, 100), (10, 400), (16, 1024), (25, 2500))):
+def _suite_conditioning(spectra, pairs=((5, 100), (10, 400), (16, 1024), (25, 2500))):
     out = []
     for m, n in pairs:
-        out += list(check_cheb_gram_condition(m, n))
-        out += list(check_legendre_gram_condition(m, n))
+        out += list(check_cheb_gram_condition(m, n, spectra=spectra))
+        out += list(check_legendre_gram_condition(m, n, spectra=spectra))
     return out
 
 
@@ -319,12 +339,16 @@ def run_suite(name: str, m_degree: int | None = None,
     """Run a named suite of checks, sorted by (name, params) for stable output.
 
     The gerschgorin suite honors M/N overrides; singular-value and sandwich
-    suites honor an N override; s-norm honors an M override.
+    suites honor an N override; s-norm honors an M override. Each design
+    spectrum (M, N, basis) is computed once per call and kept by no later
+    call.
     """
+    spectra: dict = {}
     if name == "singular-values":
-        results = _suite_singular_values((n_samples,) if n_samples else (64, 256, 1024, 4096))
+        results = _suite_singular_values(
+            spectra, (n_samples,) if n_samples else (64, 256, 1024, 4096))
     elif name == "conditioning":
-        results = _suite_conditioning()
+        results = _suite_conditioning(spectra)
     elif name == "gerschgorin":
         results = _suite_gerschgorin(m_degree or 30, n_samples or 3600)
     elif name == "s-norm":
@@ -332,7 +356,7 @@ def run_suite(name: str, m_degree: int | None = None,
     elif name == "sandwich":
         results = _suite_sandwich((n_samples,) if n_samples is not None else (4, 8, 12, 16, 20))
     elif name == "all":
-        results = (_suite_singular_values() + _suite_conditioning()
+        results = (_suite_singular_values(spectra) + _suite_conditioning(spectra)
                    + _suite_gerschgorin() + _suite_s_norm() + _suite_sandwich())
     else:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES[:-1])}, all")

@@ -1,16 +1,14 @@
 import inspect
 import math
-import os
-import subprocess
-import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import stable_extrap
 from stable_extrap import fastgram
 from stable_extrap import (
     Basis,
@@ -257,7 +255,7 @@ class TestRhs:
         with pytest.raises(ValueError, match="N >= 1"):
             rhs(Grid(np.zeros(1), GridKind.EQUISPACED), np.ones(1), 0)
 
-    def test_bits_independent_of_blas_threads(self):
+    def test_bits_independent_of_blas_threads(self, outputs_per_blas_thread_count):
         """OpenBLAS splits dot products longer than about 1e4 across threads;
         with chunks longer than that, rhs must still give the same bits under
         one and two BLAS threads."""
@@ -271,17 +269,91 @@ class TestRhs:
             f"y = np.random.default_rng(3).normal(size={n + 1})\n"
             f"print(hashlib.sha1(rhs(grid, y, {m_deg}).tobytes()).hexdigest())\n"
         )
-        src = str(Path(stable_extrap.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr.decode()
-            digests.append(proc.stdout.strip())
+        digests = outputs_per_blas_thread_count(script)
         assert digests[0] == digests[1]
+
+    def test_bits_independent_of_blas_threads_at_benchmark_shapes(
+            self, outputs_per_blas_thread_count):
+        """At the benchmark's shapes (N, M) = (4e6, 27), (62500, 125) and
+        (1e6, 35) the panel contraction runs, and its bits are the same under
+        one and two BLAS threads, with the default chunk and with every
+        panel in one block. np.matmul in place of the contraction's einsum
+        gives other bits under two threads at (62500, 125) in one block."""
+        shapes = ((4_000_000, 27), (62_500, 125), (1_000_000, 35))
+        for n, m_deg in shapes:
+            w = fastgram._panel_width(m_deg + 1)
+            assert n // 2 + 1 >= w >= 4 * (m_deg + 1)
+        script = (
+            "import hashlib, numpy as np\n"
+            "from stable_extrap import GridKind, make_grid, rhs\n"
+            f"for n, m in {shapes!r}:\n"
+            "    grid = make_grid(GridKind.EQUISPACED, n)\n"
+            "    y = np.random.default_rng(n).normal(size=n + 1)\n"
+            "    for chunk in (16384, 10 ** 9):\n"
+            "        b = rhs(grid, y, m, chunk=chunk)\n"
+            "        print(hashlib.sha1(b.tobytes()).hexdigest())\n"
+        )
+        outputs = outputs_per_blas_thread_count(script)
+        assert len(outputs[0].splitlines()) == 2 * len(shapes)
+        assert outputs[0] == outputs[1]
+
+    def test_no_blas_products(self):
+        # The grep behind the thread test above: numpy's einsum (without
+        # optimize, which may hand off to BLAS) is the only product kernel.
+        for fn in (rhs, fastgram._parity_sums, fastgram._proxy_sums,
+                   fastgram._panel_operators, fastgram._folded_blocks):
+            source = inspect.getsource(fn)
+            for banned in ("matmul", "np.dot", ".dot(", "tensordot", " @ ", "optimize"):
+                assert banned not in source, (fn.__name__, banned)
+
+    @pytest.mark.parametrize("n, m_deg", [(4_000_000, 27), (62_500, 125), (1_000_000, 35)])
+    def test_extra_memory_bounded(self, n, m_deg):
+        grid = make_grid(GridKind.EQUISPACED, n)
+        y = np.random.default_rng(1).normal(size=n + 1)
+        tracemalloc.start()
+        try:
+            rhs(grid, y, m_deg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, peak
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than float64 here")
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_long_double_recurrence(self, data):
+        """|b - b_ref| <= 1e-14 sum|y| against the plain recurrence over all
+        N+1 points in long double. M is drawn mostly from the compressed
+        range M <= 127 and often at 127 (w = 4(M+1), the last compressed
+        degree) and 128. Half the draws put the folded half within two
+        points of a multiple of the panel width, at N >= 4M^2 where the
+        panels run."""
+        m_deg = data.draw(st.one_of(st.integers(0, 127), st.integers(0, 300),
+                                    st.sampled_from([31, 127, 128])), label="M")
+        w = fastgram._panel_width(m_deg + 1)
+        most = 100_000 // w
+        fewest = min(-(-2 * m_deg * m_deg // w) or 1, most)  # N >= 4M^2
+        half = data.draw(st.one_of(
+            st.integers(1, 100_001),
+            st.builds(lambda j, off: max(1, j * w + off),
+                      st.integers(fewest, most), st.integers(-2, 2))), label="half")
+        n = max(1, 2 * (half - 1) + data.draw(st.integers(0, 1), label="N odd"))
+        m_deg = min(m_deg, n)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        y = rng.normal(size=n + 1) + data.draw(st.sampled_from([0.0, 3.0]), label="offset")
+        grid = make_grid(GridKind.EQUISPACED, n)
+        x = grid.points.astype(np.longdouble)
+        yl = y.astype(np.longdouble)
+        ref = np.empty(m_deg + 1, dtype=np.longdouble)
+        t_prev, t_cur = np.ones_like(x), x
+        ref[0] = np.sum(yl)
+        for k in range(1, m_deg + 1):
+            if k > 1:
+                t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
+            ref[k] = np.sum(t_cur * yl)
+        err = np.max(np.abs(rhs(grid, y, m_deg) - ref))
+        assert err <= 1e-14 * np.sum(np.abs(y)), (n, m_deg, float(err))
 
     def test_length_mismatch_rejected(self):
         grid = make_grid(GridKind.EQUISPACED, 4)

@@ -1,16 +1,11 @@
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stable_extrap
 from stable_extrap import (
     Basis,
     BasisChangeMatrix,
@@ -207,6 +202,20 @@ class TestFit:
         assert result.gram_cond_estimate >= 1.0
         assert result.sigma_min == report.sigma_min
 
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_fast_route_result_holds_no_gram(self, basis):
+        # A kept result holds O(M) numbers; its Gram, a function of (M, N)
+        # alone on the fast route, is rebuilt with the bits the fit solved.
+        points = make_grid(GridKind.EQUISPACED, 400).points
+        result = fit(SampleSet(Grid(points, GridKind.EQUISPACED), np.cos(points)), 10,
+                     basis=basis)
+        assert result.method == GramMethod.FAST and result.dense_gram is None
+        assert not result.gram.flags.writeable
+        assert spectral_report(result.gram).cond2 ** 2 == result.gram_cond_estimate
+        dense = fit(SampleSet(Grid(points, GridKind.ARBITRARY), np.cos(points)), 10,
+                    basis=basis)
+        assert dense.gram is dense.dense_gram and not dense.gram.flags.writeable
+
     def test_degree_exceeding_samples_rejected(self):
         samples = equispaced_samples(np.cos, 100)
         with pytest.raises(ValueError, match="exceeds N"):
@@ -288,6 +297,23 @@ class TestFit:
         assert [w.category for w in caught] == [UserWarning]
         assert caught[0].filename == __file__
         assert len(result.warnings) == 1
+        assert "fast Gram was bypassed" in result.warnings[0]
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_subsampled_fit_uses_dense_gram(self, basis):
+        # At (M, N) = (20, 100) the fast Gram's truncated correction series
+        # is off by about 1e-5 N, so the fit must take the dense Gram and
+        # agree with the same points labelled ARBITRARY.
+        grid = make_grid(GridKind.EQUISPACED, 100)
+        y = np.random.default_rng(20).normal(size=101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = fit(SampleSet(grid, y), 20, basis=basis)
+            dense = fit(SampleSet(Grid(grid.points, GridKind.ARBITRARY), y), 20,
+                        basis=basis)
+        assert result.method == dense.method == GramMethod.NAIVE
+        ref = dense.series.coeffs
+        assert np.max(np.abs(result.series.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_square_system_fails_loudly(self):
         # Interpolation-sized systems are exponentially ill conditioned; the
@@ -305,7 +331,7 @@ class TestFit:
         assert np.all(np.isfinite(coeffs))
         np.testing.assert_allclose(np.ones((2, 2)) @ coeffs, [1.0, 1.0], rtol=1e-12)
 
-    def test_bits_independent_of_blas_threads(self):
+    def test_bits_independent_of_blas_threads(self, outputs_per_blas_thread_count):
         """LAPACK's Cholesky and eigvalsh give the same sigma_min and fit
         coefficients under one and two BLAS threads at the benchmark's
         largest degree (M = 125, N = 62500) and at M = 27. The Legendre fit
@@ -326,16 +352,7 @@ class TestFit:
             "          hashlib.sha1(leg.gram.tobytes()).hexdigest(),\n"
             "          hashlib.sha1(leg.series.coeffs.tobytes()).hexdigest())\n"
         )
-        src = str(Path(stable_extrap.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr.decode()
-            outputs.append(proc.stdout.strip())
+        outputs = outputs_per_blas_thread_count(script)
         assert len(outputs[0].splitlines()) == 2
         assert outputs[0] == outputs[1]
 

@@ -1,14 +1,10 @@
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import stable_extrap
 from stable_extrap import (
     check_cheb_gram_condition,
     check_cheb_singular_bounds,
@@ -21,6 +17,7 @@ from stable_extrap import (
     gerschgorin_interval,
     run_suite,
 )
+from stable_extrap import verify
 from stable_extrap.verify import dc_matrix, fc_matrix, parity_matrix
 
 CERTIFY_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "certify_reference.json"
@@ -205,6 +202,35 @@ class TestSuites:
         assert all(r.passed for r in results)
         assert all(r.params == {"M": 10, "N": 400} for r in results)
 
+    def test_each_design_spectrum_computed_once_per_call(self, monkeypatch):
+        # run_suite("all") reads 20 design spectra of 14 distinct
+        # (M, N, basis); each is computed once per call, and a second call
+        # computes them all again.
+        calls = []
+        compute = verify._design_spectrum
+
+        def counting(m_degree, n_samples, basis):
+            calls.append((m_degree, n_samples, basis))
+            return compute(m_degree, n_samples, basis)
+
+        monkeypatch.setattr(verify, "_design_spectrum", counting)
+        first = run_suite("all")
+        assert len(calls) == len(set(calls)) == 14
+        assert run_suite("all") == first
+        assert len(calls) == 28
+
+    def test_shared_spectra_change_no_result(self):
+        # Each check alone, with no memo, gives the bits run_suite gives.
+        alone = []
+        for n in (64, 256, 1024, 4096):
+            m = int(0.5 * n ** 0.5)
+            alone += check_legendre_singular_bounds(m, n) + check_cheb_singular_bounds(m, n)
+        for m, n in ((5, 100), (10, 400), (16, 1024), (25, 2500)):
+            alone += check_cheb_gram_condition(m, n) + check_legendre_gram_condition(m, n)
+        suite = run_suite("singular-values") + run_suite("conditioning")
+        key = lambda c: (c.name, sorted(c.params.items()))
+        assert sorted(suite, key=key) == sorted(alone, key=key)
+
     def test_all_suite_matches_certify_reference(self):
         # The benchmark's reference values, recorded when every check ran on
         # Jacobi or power iteration over the full matrices; the file is read,
@@ -221,7 +247,7 @@ class TestSuites:
             for got, want in ((r.lhs, ref["lhs"]), (r.rhs, ref["rhs"])):
                 assert abs(got - want) <= 1e-9 * max(abs(got), abs(want)), (key, got, want)
 
-    def test_all_suite_bits_independent_of_blas_threads(self):
+    def test_all_suite_bits_independent_of_blas_threads(self, outputs_per_blas_thread_count):
         """Every lhs and rhs of run_suite("all"), and ||S||_2 for M = 150,
         160, ..., 1000, have the same bits under one and two BLAS threads.
         eigvalsh on the parity blocks changes run_suite's bits at M = 1000; a
@@ -240,15 +266,6 @@ class TestSuites:
             "norms = [basis_change_matrix(m).norm2() for m in range(150, 1001, 10)]\n"
             "print(hashlib.sha1(struct.pack(f'<{len(norms)}d', *norms)).hexdigest())\n"
         )
-        src = str(Path(stable_extrap.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr.decode()
-            outputs.append(proc.stdout.strip())
+        outputs = outputs_per_blas_thread_count(script)
         assert len(outputs[0].splitlines()) == 2
         assert outputs[0] == outputs[1]
