@@ -40,15 +40,43 @@ class GridKind(str, Enum):
     ARBITRARY = "arbitrary"
 
 
+# Largest |x_k + x_{N-k}| and |x_k - (2k/N - 1)| of an EQUISPACED grid.
+SYMMETRY_TOL = 1e-15
+EQUISPACING_TOL = 1e-12
+_CHECK_BLOCK = 16384  # points per block of that check, which allocates O(block)
+
+
 def _freeze(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
 
+def _check_equispaced(x: np.ndarray) -> None:
+    """Raise ValueError naming the first bad k unless N >= 1 and, block by block
+    over k <= N/2, |x_k + x_{N-k}| <= SYMMETRY_TOL (checked first) and
+    |x_k - (2k/N - 1)| <= EQUISPACING_TOL, which the first carries to k > N/2."""
+    n = x.size - 1
+    if n < 1:
+        raise ValueError("an equispaced grid needs N >= 1")
+    half, mirror = n // 2 + 1, x[::-1]
+    for lo in range(0, half, _CHECK_BLOCK):
+        hi = min(lo + _CHECK_BLOCK, half)
+        for gap, tol, what in (
+                (x[lo:hi] + mirror[lo:hi], SYMMETRY_TOL, "mirror-symmetric: |x[{k}] + x[{m}]|"),
+                (x[lo:hi] - (2.0 * np.arange(lo, hi) / n - 1.0), EQUISPACING_TOL,
+                 "equispaced: |x[{k}] - (2*{k}/{n} - 1)|")):
+            bad = ~(np.abs(gap) <= tol)  # NaN is bad
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ValueError(f"grid is not {what.format(k=lo + j, m=n - lo - j, n=n)} = "
+                                 f"{abs(gap[j]):.3e} > {tol:g}")
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Ordered abscissae in [-1, 1]; immutable and safe to share."""
+    """Ordered abscissae in [-1, 1]; immutable and safe to share. An EQUISPACED
+    grid is checked here to be x_k = 2k/N - 1, so routing on kind is sound."""
 
     points: np.ndarray
     kind: GridKind = GridKind.ARBITRARY
@@ -60,6 +88,8 @@ class Grid:
             raise ValueError("grid needs a 1-d, non-empty point vector")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be strictly increasing")
+        if self.kind == GridKind.EQUISPACED:
+            _check_equispaced(pts)
 
     @property
     def n(self) -> int:

@@ -20,13 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import Basis, Grid, GridKind, SampleSet
+from .basis import EQUISPACING_TOL, Basis, GridKind, SampleSet, make_grid
 from .extrapolator import ProblemParams, extrapolate, optimal_degree
 from .solver import SolverError, fit
 from . import experiments, verify
 
 SCHEMA_VERSION = 1
-X_MATCH_TOL = 1e-12
 
 _BASIS_FLAGS = {"cheb": Basis.CHEBYSHEV, "leg": Basis.LEGENDRE}
 
@@ -62,10 +61,11 @@ def _emit(document, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def read_samples_csv(path: str) -> SampleSet:
-    """Parse a two-column x,y CSV into an equispaced SampleSet, rejecting grids
-    that do not match x_k = 2k/N - 1 to 1e-12. The first non-blank line is a
-    header if its first cell is not a number; empty lines are skipped and
-    cells may be quoted with '"'. Errors cite the file's 1-based line."""
+    """Parse a two-column x,y CSV into a SampleSet on make_grid's equispaced
+    grid, rejecting x columns that miss x_k = 2k/N - 1 by more than 1e-12.
+    The first non-blank line is a header if its first cell is not a number;
+    empty lines are skipped and cells may be quoted with '"'. Errors cite
+    the file's 1-based line."""
     skip = 0  # lines before the first line given to loadtxt
     try:
         with open(path, encoding="utf-8") as fh:
@@ -91,16 +91,16 @@ def read_samples_csv(path: str) -> SampleSet:
     if len(data) < 2:
         raise CliError(f"{path}: need at least two samples")
     x, n = data[:, 0], len(data) - 1
-    expected = 2.0 * np.arange(n + 1) / n - 1.0
-    mismatch = ~(np.abs(x - expected) <= X_MATCH_TOL)  # NaN is a mismatch
+    expected = (grid := make_grid(GridKind.EQUISPACED, n)).points
+    mismatch = ~(np.abs(x - expected) <= EQUISPACING_TOL)  # NaN is a mismatch
     if np.any(mismatch):
         k = int(np.argmax(mismatch))
         raise CliError(
             f"{path}: x[{k}] = {float(x[k])!r} does not match the equispaced grid "
-            f"point 2*{k}/{n} - 1 = {float(expected[k])!r} to {X_MATCH_TOL}"
+            f"point 2*{k}/{n} - 1 = {float(expected[k])!r} to {EQUISPACING_TOL}"
         )
     try:
-        return SampleSet(Grid(expected, GridKind.EQUISPACED), np.ascontiguousarray(data[:, 1]))
+        return SampleSet(grid, np.ascontiguousarray(data[:, 1]))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 

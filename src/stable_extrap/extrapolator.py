@@ -68,8 +68,8 @@ class ProblemParams:
 
     @property
     def degenerate(self) -> bool:
-        """True when eps > Q, which forces the optimal degree to 0."""
-        return self.eps > self.q
+        """True when eps >= Q, so log(Q/eps) <= 0 forces the optimal degree to 0."""
+        return self.eps >= self.q
 
     @property
     def interval_edge(self) -> float:
@@ -107,7 +107,7 @@ def optimal_degree(params: ProblemParams) -> DegreeChoice:
     """Degree balancing truncation decay against perturbation growth.
 
     The problem is oversampled when log(Q/eps)/log(rho) < sqrt(N)/2: the
-    perturbation level, not the grid, then limits the accuracy. eps > Q is
+    perturbation level, not the grid, then limits the accuracy. eps >= Q is
     degenerate and pins the degree to 0.
     """
     half_sqrt_n = 0.5 * math.sqrt(params.n_samples)
@@ -169,7 +169,7 @@ def extrapolate(samples: SampleSet, params: ProblemParams, xs) -> ExtrapolationR
     of the design matrix, and the regime's asymptotic bound factor, which
     omits only constants. Under M <= sqrt(N)/2 the measured sigma_min^2 is at
     least the guaranteed 2N/(125(2M+1)), so the bound is never looser than
-    the one that floor would give. The grid must be equispaced.
+    the one that floor would give. The grid must be of kind EQUISPACED.
     """
     if samples.n != params.n_samples:
         raise ValueError(

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import Basis, Grid, _recurrence
+from .basis import Basis, Grid, GridKind, _recurrence
 
 __all__ = [
     "GramMethod",
@@ -33,10 +33,7 @@ __all__ = [
     "rhs",
 ]
 
-# Largest |x_k + x_{N-k}| that rhs accepts as a mirror-symmetric grid.
-_MIRROR_TOL = 1e-15
-# Largest |x_k - (2k/N - 1)| that rhs accepts as equispaced (cli.X_MATCH_TOL).
-_GRID_TOL = 1e-12
+_CHUNK = 16384  # rhs's block size: folded points, and proxies per batch
 # rhs panels: at most this many points, and the panel matrix T_l(t_i) at
 # most this many entries (512 KB).
 _PANEL_MAX = 2048
@@ -69,7 +66,6 @@ class GramSystem:
 
     matrix: np.ndarray
     correction_terms: np.ndarray | None = None
-    subsampled_warning: bool = False
 
 
 def trapezium_error_matrix(m_degree: int, n_samples: int) -> np.ndarray:
@@ -84,7 +80,7 @@ def trapezium_error_matrix(m_degree: int, n_samples: int) -> np.ndarray:
     s <= 9 suffices. The two products are shared across entries through
     tables keyed by (m-n)^2 and (m+n)^2, so total work is O(M^2) and table
     memory O(M). Past M = sqrt(N)/2 the truncated series is no longer
-    accurate; gram_fast flags that case in GramSystem.subsampled_warning.
+    accurate, so fit takes the dense Gram there.
     """
     if m_degree < 1:
         raise ValueError("correction matrix needs degree M >= 1")
@@ -149,8 +145,7 @@ def gram_fast(m_degree: int, n_samples: int) -> GramSystem:
     err = trapezium_error_matrix(m_degree, n_samples)
     g = analytic + 0.5 * n * err
     g[odd] = 0.0
-    subsampled = n_samples < 4 * m_degree * m_degree
-    return GramSystem(g, correction_terms=err, subsampled_warning=subsampled)
+    return GramSystem(g, correction_terms=err)
 
 
 def _parity_sums(z: np.ndarray, even_w: np.ndarray, odd_w: np.ndarray,
@@ -217,37 +212,17 @@ def _proxy_sums(nu: np.ndarray, first: int, width: int, n: int, tau: np.ndarray,
                         m_degree)
 
 
-def _folded_blocks(x: np.ndarray, y: np.ndarray, s: np.ndarray, d: np.ndarray):
-    """Check the left half of the grid block by block and fold its samples.
-
-    For each block of up to s.size points from k = lo, checks that the grid
-    is mirror-symmetric and equispaced there, writes s_k = y_k + y_{N-k} and
-    d_k = y_k - y_{N-k} into s and d, and yields (lo, point count). The
-    middle point of an even N goes into s only (s = y_{N/2}, d = 0).
-    """
-    n = x.size - 1
+def _folded_blocks(y: np.ndarray, s: np.ndarray, d: np.ndarray):
+    """For each block of up to s.size points of the left half, from k = lo,
+    write s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k} into s and d and yield
+    (lo, point count). The middle point of an even N goes into s only."""
+    n = y.size - 1
     half = n // 2 + 1
-    x_mirror, y_mirror = x[::-1], y[::-1]
+    y_mirror = y[::-1]
     width = s.size
-    ramp = 2.0 * np.arange(width) / n - 1.0  # the grid's first `width` points
     for lo in range(0, half, width):
         hi = min(lo + width, half)
-        xc, sb, db = x[lo:hi], s[:hi - lo], d[:hi - lo]
-        np.add(xc, x_mirror[lo:hi], out=sb)
-        if not (sb.max() <= _MIRROR_TOL and sb.min() >= -_MIRROR_TOL):
-            k = lo + int(np.flatnonzero(~(np.abs(sb) <= _MIRROR_TOL))[0])
-            raise ValueError(
-                f"grid is not mirror-symmetric: |x[{k}] + x[{n - k}]| = "
-                f"{abs(x[k] + x[n - k]):.3e} > {_MIRROR_TOL:g}"
-            )
-        np.subtract(xc, ramp[:hi - lo], out=db)
-        db -= 2.0 * lo / n
-        if not (db.max() <= _GRID_TOL and db.min() >= -_GRID_TOL):
-            k = lo + int(np.flatnonzero(~(np.abs(db) <= _GRID_TOL))[0])
-            raise ValueError(
-                f"grid is not equispaced: |x[{k}] - (2*{k}/{n} - 1)| = "
-                f"{abs(x[k] - (2.0 * k / n - 1.0)):.3e} > {_GRID_TOL:g}"
-            )
+        sb, db = s[:hi - lo], d[:hi - lo]
         np.add(y[lo:hi], y_mirror[lo:hi], out=sb)
         np.subtract(y[lo:hi], y_mirror[lo:hi], out=db)
         if hi == half and n % 2 == 0:
@@ -255,19 +230,17 @@ def _folded_blocks(x: np.ndarray, y: np.ndarray, s: np.ndarray, d: np.ndarray):
         yield lo, hi - lo
 
 
-def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
+def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     """Right-hand side T_M(x)^T y over the left half of a mirrored grid.
 
-    The grid must be mirror-symmetric, |x_k + x_{N-k}| <= 1e-15 (make_grid's
-    equispaced grid is, to about 1e-16), so T_m(x_{N-k}) = (-1)^m T_m(x_k),
-    and its left half must be equispaced, |x_k - (2k/N - 1)| <= 1e-12, as the
-    fast Gram assumes; the mirror check carries that to the right half.
-    The samples are folded into s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k}
-    for k < N/2; the middle point of an even N goes into s only (s = y_{N/2},
-    d = 0, as T_m(0) = 0 for odd m). Even degrees take T_m(x_k) s_k and odd
-    degrees T_m(x_k) d_k over the ceil((N+1)/2) folded points. Mirrored
-    samples give odd-degree entries, and antisymmetric samples even-degree
-    entries, that are exactly zero.
+    The grid must be of kind EQUISPACED, whose points Grid has checked, so
+    T_m(x_{N-k}) = (-1)^m T_m(x_k). The samples are folded into
+    s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k} for k < N/2; the middle
+    point of an even N goes into s only (s = y_{N/2}, d = 0, as T_m(0) = 0
+    for odd m). Even degrees take T_m(x_k) s_k and odd degrees T_m(x_k) d_k
+    over the ceil((N+1)/2) folded points. Mirrored samples give odd-degree
+    entries, and antisymmetric samples even-degree entries, that are
+    exactly zero.
 
     The folded half is cut into panels of w points, x = c_p + (w/N) t_i,
     with the same local nodes t_i = (2i - (w-1))/w in every panel (w is a
@@ -284,8 +257,7 @@ def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
     multiply-adds there, P K^2 for nu and P K M for the recurrence over the
     PK proxies of P panels. The last panel is zero-padded and, because of
     the fold, stays inside [-1, 1]; the first panel's outermost proxy may
-    lie up to 1/N below -1. The proxies sit at the ideal positions 2k/N - 1,
-    which the equispacing check holds the grid to.
+    lie up to 1/N below -1. The proxies sit at the grid's positions 2k/N - 1.
 
     Compression runs when half >= w and w >= 4K, so that it pays, and when
     M <= sqrt(N)/2, so that |T_M| <= cosh(M sqrt(2/N)) <= 1.26 at every
@@ -296,43 +268,37 @@ def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
     N = 1023). Otherwise every point is its own proxy and the same
     recurrence runs over the points themselves.
 
-    Blocks hold max(1, chunk // w) panels, or chunk points when nothing is
-    compressed, and the proxies are summed in batches of about chunk, so
-    the extra space is O(chunk + Kw), about 2 MB at the default. Every
-    product and reduction is numpy's own single-threaded einsum (or np.sum)
-    in a fixed order, never a BLAS kernel, which can split work across
-    threads; the bits therefore do not depend on the number of BLAS threads.
+    Blocks hold max(1, _CHUNK // w) panels, or _CHUNK points when nothing is
+    compressed, and the proxies are summed in batches of about _CHUNK, so
+    the extra space is O(_CHUNK + Kw), about 2 MB. Every product and
+    reduction is numpy's own single-threaded einsum (or np.sum) in a fixed
+    order, never a BLAS kernel, which can split work across threads; the
+    bits therefore do not depend on the number of BLAS threads.
 
-    Raises ValueError naming the first offending k if the grid is not
-    mirror-symmetric or not equispaced (the mirror check comes first), and
-    ValueError if the grid has fewer than two points, if the sample count
-    differs from the grid's, if M < 0 or if chunk < 1.
+    Raises ValueError if the grid's kind is not EQUISPACED, if the sample
+    count differs from the grid's or if M < 0.
     """
+    if grid.kind != GridKind.EQUISPACED:
+        raise ValueError(f"rhs needs an equispaced grid, got kind {GridKind(grid.kind).value!r}")
     y = np.asarray(samples, dtype=float)
     x = grid.points
     if y.shape != x.shape:
-        raise ValueError(
-            f"got {y.size} samples for a grid of {x.size} points"
-        )
+        raise ValueError(f"got {y.size} samples for a grid of {x.size} points")
     if m_degree < 0:
         raise ValueError("degree must be nonnegative")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
     n = x.size - 1
-    if n < 1:
-        raise ValueError("an equispaced grid needs N >= 1")
     half = n // 2 + 1
     k = m_degree + 1
     w = _panel_width(k)
     if half < w or w < 4 * k or n < 4 * m_degree * m_degree:
         w = 1  # every point is its own proxy
     total = -(-half // w)  # panels, the last one zero-padded
-    panels = max(1, min(chunk // w, total))
+    panels = max(1, min(_CHUNK // w, total))
     sd = np.empty((2, panels, w))
     s, d = sd[0].reshape(-1), sd[1].reshape(-1)
     b = np.zeros(k)
     if w == 1:
-        for lo, count in _folded_blocks(x, y, s, d):
+        for lo, count in _folded_blocks(y, s, d):
             b += _parity_sums(x[lo:lo + count], s[:count], d[:count], m_degree)
         return b
 
@@ -340,10 +306,10 @@ def rhs(grid: Grid, samples, m_degree: int, chunk: int = 16384) -> np.ndarray:
     h = w // 2
     folded = np.empty((2, 2, panels, h))
     moments = np.empty((2, 2, panels, local.shape[1]))
-    batch = max(panels, min(chunk // k, total))  # panels per proxy sum
+    batch = max(panels, min(_CHUNK // k, total))  # panels per proxy sum
     nu = np.empty((2, batch, k))
     first = filled = 0  # nu[:, :filled] holds panels first, first+1, ...
-    for lo, count in _folded_blocks(x, y, s, d):
+    for lo, count in _folded_blocks(y, s, d):
         p = -(-count // w)
         s[count:p * w] = 0.0
         d[count:p * w] = 0.0

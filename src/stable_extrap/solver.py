@@ -170,8 +170,8 @@ def fit(samples: SampleSet, m_degree: int,
         basis: Basis = Basis.CHEBYSHEV) -> FitResult:
     """Least-squares polynomial fit of degree M to the sample values.
 
-    An equispaced grid with M <= sqrt(N)/2 takes the fast Chebyshev Gram G
-    and right-hand side b in O(M^2 + MN), in either basis: V_leg = V_cheb S
+    A grid of kind EQUISPACED (x_k = 2k/N - 1) with M <= sqrt(N)/2 takes the
+    fast Chebyshev Gram G and b in O(M^2 + MN), in either basis: V_leg = V_cheb S
     with S = basis_change_matrix(M), so a Legendre fit solves
     S^T G S c = S^T b. Past M = sqrt(N)/2 the fast Gram's truncated
     correction series is no longer accurate (1e-5 N at M = 20, N = 100), so

@@ -330,19 +330,24 @@ def _suite_sandwich(n_list=(4, 8, 12, 16, 20)):
     return out
 
 
-SUITE_NAMES = ("singular-values", "conditioning", "gerschgorin", "s-norm",
-               "sandwich", "all")
+_OVERRIDES = {"singular-values": ("N",), "conditioning": (), "gerschgorin": ("M", "N"),
+              "s-norm": ("M",), "sandwich": ("N",), "all": ()}
+SUITE_NAMES = tuple(_OVERRIDES)
 
 
 def run_suite(name: str, m_degree: int | None = None,
               n_samples: int | None = None) -> list[CheckResult]:
     """Run a named suite of checks, sorted by (name, params) for stable output.
 
-    The gerschgorin suite honors M/N overrides; singular-value and sandwich
-    suites honor an N override; s-norm honors an M override. Each design
-    spectrum (M, N, basis) is computed once per call and kept by no later
-    call.
+    An override the suite does not honor (_OVERRIDES) raises ValueError.
+    Each design spectrum (M, N, basis) is computed once per call and kept
+    by no later call.
     """
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES[:-1])}, all")
+    for flag, value in (("M", m_degree), ("N", n_samples)):
+        if value is not None and flag not in _OVERRIDES[name]:
+            raise ValueError(f"suite {name!r} takes no {flag} override")
     spectra: dict = {}
     if name == "singular-values":
         results = _suite_singular_values(
@@ -355,9 +360,7 @@ def run_suite(name: str, m_degree: int | None = None,
         results = _suite_s_norm((m_degree,) if m_degree else (10, 100, 1000))
     elif name == "sandwich":
         results = _suite_sandwich((n_samples,) if n_samples is not None else (4, 8, 12, 16, 20))
-    elif name == "all":
+    else:
         results = (_suite_singular_values(spectra) + _suite_conditioning(spectra)
                    + _suite_gerschgorin() + _suite_s_norm() + _suite_sandwich())
-    else:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES[:-1])}, all")
     return sorted(results, key=lambda c: (c.name, sorted(c.params.items())))

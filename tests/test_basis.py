@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
+from stable_extrap import basis
 from stable_extrap import (
     ChebyshevSeries,
     Grid,
@@ -160,6 +162,69 @@ class TestMakeGrid:
     def test_arbitrary_kind_not_built(self):
         with pytest.raises(ValueError):
             make_grid(GridKind.ARBITRARY, 3)
+
+
+class TestEquispacedCheck:
+    """An EQUISPACED grid is checked to be x_k = 2k/N - 1 once, in Grid."""
+
+    @given(n=st.integers(1, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_make_grid_accepted(self, n):
+        grid = make_grid(GridKind.EQUISPACED, n)
+        assert grid.kind == GridKind.EQUISPACED and grid.n == n
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_moved_point_named(self, data):
+        """Moving x_k of the left half and its mirror x_{N-k} together by
+        more than 1e-12 breaks equispacing at k; moving any one point by more
+        than 1e-15 breaks the mirror pair (k, N-k). Each is refused by Grid,
+        naming k. The shifts stay far below the spacing 2/N."""
+        n = data.draw(st.integers(1, 100_000), label="N")
+        sign = data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        pts = make_grid(GridKind.EQUISPACED, n).points.copy()
+        if data.draw(st.booleans(), label="mirror pair"):
+            moved = data.draw(st.integers(0, n), label="moved")
+            pts[moved] += sign * 10.0 ** data.draw(st.floats(-14.5, -6.0), label="log10 shift")
+            k = min(moved, n - moved)
+            match = rf"not mirror-symmetric: \|x\[{k}\] \+ x\[{n - k}\]\|"
+        else:
+            k = data.draw(st.integers(0, (n - 1) // 2), label="k")
+            pts[k] += sign * 10.0 ** data.draw(st.floats(-11.9, -6.0), label="log10 shift")
+            pts[n - k] = -pts[k]
+            match = rf"not equispaced: \|x\[{k}\] - \(2\*{k}/{n} - 1\)\|"
+        with pytest.raises(ValueError, match=match):
+            Grid(pts, GridKind.EQUISPACED)
+
+    def test_check_allocates_one_block(self):
+        """At N = 4e6 the check allocates O(block), so an EQUISPACED Grid
+        needs at most that much more memory than an ARBITRARY one, whose
+        point copy and np.diff are O(N)."""
+        n = 4_000_000
+        x = make_grid(GridKind.EQUISPACED, n).points
+        tracemalloc.start()
+        try:
+            basis._check_equispaced(x)
+            check_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            Grid(x, GridKind.ARBITRARY)
+            arbitrary_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            Grid(x, GridKind.EQUISPACED)
+            equispaced_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = 8 * basis._CHECK_BLOCK
+        assert check_peak <= 8 * block_bytes, check_peak
+        assert arbitrary_peak >= 16 * n
+        assert equispaced_peak <= arbitrary_peak + 8 * block_bytes, (
+            equispaced_peak, arbitrary_peak)
+
+    def test_nan_point_rejected(self):
+        pts = make_grid(GridKind.EQUISPACED, 4).points.copy()
+        pts[3] = np.nan  # np.diff(pts) <= 0 is False at a NaN
+        with pytest.raises(ValueError, match=r"mirror-symmetric: \|x\[1\] \+ x\[3\]\|"):
+            Grid(pts, GridKind.EQUISPACED)
 
 
 class TestTypes:

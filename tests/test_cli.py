@@ -204,6 +204,21 @@ class TestBadInput:
         code, err = self.run(tmp_path, capsys, path.read_text())
         assert code == 0 and err == ""
 
+    def test_duplicated_row_names_first_x_off_grid(self, tmp_path, capsys):
+        # A duplicated row makes N one larger, so x misses the grid 2k/N - 1
+        # of the new N; the error names the first k where it does.
+        path = tmp_path / "f.csv"
+        write_samples(path, 8, np.cos)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:5] + lines[4:]))
+        x = np.array([float(line.split(",")[0]) for line in lines[1:5] + lines[4:]])
+        n = x.size - 1
+        k = int(np.argmax(np.abs(x - (2.0 * np.arange(n + 1) / n - 1.0)) > 1e-12))
+        assert k > 0
+        code, err = self.run(tmp_path, capsys, path.read_text())
+        assert code == 2
+        assert f"x[{k}] = {float(x[k])!r} does not match the equispaced grid point 2*{k}/{n} - 1" in err
+
     def test_n_equals_one_accepted(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, "-1.0,1.0\n1.0,3.0\n")
         assert code == 0 and err == ""
@@ -328,6 +343,26 @@ class TestExtrapolateCommand:
         assert code == 2
         assert "interval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["3.0", "1.5"])
+    def test_eps_at_or_above_q_is_degenerate(self, tmp_path, eps):
+        csv_path = tmp_path / "f.csv"
+        out_path = tmp_path / "ext.json"
+        write_samples(csv_path, 64, np.cos)
+        assert main(["extrapolate", "--input", str(csv_path),
+                     "--rho", "2", "--eps", eps, "--Q", "1.5",
+                     "--at", "1.0", "--output", str(out_path)]) == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["M_star"] == 0 and doc["degenerate"] is True
+
+    def test_at_interval_edge_exits_2(self, tmp_path, capsys):
+        # (rho + 1/rho)/2 = 1.25 exactly at rho = 2; the interval is open there.
+        csv_path = tmp_path / "f.csv"
+        write_samples(csv_path, 64, np.cos)
+        code = main(["extrapolate", "--input", str(csv_path),
+                     "--rho", "2", "--eps", "1e-10", "--Q", "1.5", "--at", "1.25"])
+        assert code == 2
+        assert "x=1.25 is outside the reachable interval [1, 1.25)" in capsys.readouterr().err
+
     def test_double_precision_scenario_m_star(self, tmp_path):
         csv_path = tmp_path / "f.csv"
         out_path = tmp_path / "ext.json"
@@ -355,6 +390,14 @@ class TestVerifyCommand:
         out_path = tmp_path / "v.json"
         assert main(["verify", "--suite", "gerschgorin", "--M", "30",
                      "--N", "3600", "--output", str(out_path)]) == 0
+
+    @pytest.mark.parametrize("suite, flag", [
+        ("conditioning", "--M"), ("conditioning", "--N"), ("s-norm", "--N"),
+        ("sandwich", "--M"), ("singular-values", "--M"), ("all", "--M"), ("all", "--N"),
+    ])
+    def test_unhonoured_override_exits_2(self, capsys, suite, flag):
+        assert main(["verify", "--suite", suite, flag, "3"]) == 2
+        assert f"suite '{suite}' takes no {flag[2:]} override" in capsys.readouterr().err
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2

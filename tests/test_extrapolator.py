@@ -42,6 +42,10 @@ class TestProblemParams:
     def test_degenerate_flag(self):
         assert ProblemParams(10, 2.0, 2.0, 1.0).degenerate
         assert not ProblemParams(10, 2.0, 0.5, 1.0).degenerate
+        # eps = Q: log(Q/eps) = 0 forces M* = 0 as eps > Q does.
+        params = ProblemParams(10, 2.0, 1.0, 1.0)
+        assert params.degenerate
+        assert optimal_degree(params) == (0, Regime.OVERSAMPLED, True)
 
 
 class TestOptimalDegree:

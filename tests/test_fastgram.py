@@ -46,6 +46,13 @@ def fold_chunks(n):
     return sorted({1, max(h - 1, 1), h, 10 ** 9})
 
 
+def rhs_in_chunks(monkeypatch, grid, y, m_deg, chunk):
+    """rhs with its block size fastgram._CHUNK set to chunk."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fastgram, "_CHUNK", chunk)
+        return rhs(grid, y, m_deg)
+
+
 def exact_weights(s_max):
     """Oracle: B_{s+1}/(s+1)! for odd s <= s_max, from bernoulli_numbers."""
     b = bernoulli_numbers(s_max + 1)
@@ -105,12 +112,11 @@ class TestTrapeziumErrorMatrix:
 
     def test_undersampled_is_flagged_not_warned(self):
         # N < 4M^2 is the condition fit already warns about (M > sqrt(N)/2);
-        # the Gram only flags it, so the caller sees one warning.
+        # the Gram does not warn, so the caller sees one warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trapezium_error_matrix(10, 100)
-            system = gram_fast(10, 100)
-        assert system.subsampled_warning
+            gram_fast(10, 100)
 
     def test_exactly_symmetric(self):
         e = trapezium_error_matrix(9, 400)
@@ -161,11 +167,6 @@ class TestGramFast:
         fast = gram_fast(m_deg, n).matrix
         assert np.max(np.abs(fast - naive)) <= 1e-10 * n
 
-    def test_subsampled_flag(self):
-        system = gram_fast(10, 100)
-        assert system.subsampled_warning
-        assert not gram_fast(10, 400).subsampled_warning
-
     def test_correction_terms_retained(self):
         system = gram_fast(4, 64)
         assert system.correction_terms is not None
@@ -183,7 +184,7 @@ class TestRhs:
         assert b[0] == pytest.approx(0.0, abs=1e-15)
         assert b[1] == pytest.approx(float(np.sum(grid.points ** 2)), rel=1e-15)
 
-    def test_matches_dense_product(self):
+    def test_matches_dense_product(self, monkeypatch):
         for n in FOLD_N:
             grid = make_grid(GridKind.EQUISPACED, n)
             y = np.random.default_rng(5).normal(size=n + 1)
@@ -192,42 +193,34 @@ class TestRhs:
                 dense = v.entries.T @ y
                 for chunk in fold_chunks(n):
                     np.testing.assert_allclose(
-                        rhs(grid, y, m_deg, chunk=chunk), dense, rtol=1e-11,
+                        rhs_in_chunks(monkeypatch, grid, y, m_deg, chunk), dense, rtol=1e-11,
                         err_msg=f"N={n}, M={m_deg}, chunk={chunk}")
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         for n in (2999, 3000):
             grid = make_grid(GridKind.EQUISPACED, n)
             y = np.random.default_rng(9).normal(size=n + 1)
-            full = rhs(grid, y, 7, chunk=10 ** 9)
+            full = rhs_in_chunks(monkeypatch, grid, y, 7, 10 ** 9)
             for chunk in (128, *fold_chunks(n)):
                 np.testing.assert_allclose(
-                    rhs(grid, y, 7, chunk=chunk), full, rtol=1e-13,
+                    rhs_in_chunks(monkeypatch, grid, y, 7, chunk), full, rtol=1e-13,
                     err_msg=f"N={n}, chunk={chunk}")
-
-    @pytest.mark.parametrize("chunk", [0, -1])
-    def test_chunk_below_one_rejected(self, chunk):
-        grid = make_grid(GridKind.EQUISPACED, 16)
-        with pytest.raises(ValueError, match="chunk must be at least 1"):
-            rhs(grid, np.ones(17), 3, chunk=chunk)
 
     @pytest.mark.parametrize("moved, first_k", [(3, 3), (8, 2)])
     def test_asymmetric_grid_rejected(self, moved, first_k):
         pts = make_grid(GridKind.EQUISPACED, 10).points.copy()
         pts[moved] += 1e-3
-        grid = Grid(pts, GridKind.EQUISPACED)
         with pytest.raises(ValueError,
                            match=rf"mirror-symmetric: \|x\[{first_k}\] \+ x\[{10 - first_k}\]\|"):
-            rhs(grid, np.ones(11), 2, chunk=1)
+            Grid(pts, GridKind.EQUISPACED)
 
     def test_chebyshev_points_labelled_equispaced_rejected(self):
         # Mirror-symmetric but not equispaced: the mirror check passes and
         # the equispacing check names the first point.
         pts = make_grid(GridKind.CHEBYSHEV_FIRST_KIND, 400).points
         assert np.max(np.abs(pts + pts[::-1])) <= 1e-15
-        grid = Grid(pts, GridKind.EQUISPACED)
         with pytest.raises(ValueError, match=r"not equispaced: \|x\[0\] - \(2\*0/400 - 1\)\|"):
-            rhs(grid, np.exp(pts), 10)
+            Grid(pts, GridKind.EQUISPACED)
 
     @pytest.mark.parametrize("moved, k", [(2, 2), (9, 1)])
     def test_non_equispaced_point_named(self, moved, k):
@@ -237,7 +230,7 @@ class TestRhs:
         pts[moved] += 1e-3
         pts[10 - moved] -= 1e-3
         with pytest.raises(ValueError, match=rf"not equispaced: \|x\[{k}\] - \(2\*{k}/10 - 1\)\|"):
-            rhs(Grid(pts, GridKind.EQUISPACED), np.ones(11), 2, chunk=1)
+            Grid(pts, GridKind.EQUISPACED)
 
     @pytest.mark.parametrize("n", [1, 2, 400, 40_001])
     def test_linspace_grid_accepted(self, n):
@@ -247,20 +240,28 @@ class TestRhs:
         y = np.random.default_rng(n).normal(size=n + 1)
         m_deg = min(n, 10)
         np.testing.assert_allclose(
-            rhs(Grid(pts, GridKind.EQUISPACED), y, m_deg, chunk=1000),
-            rhs(make_grid(GridKind.EQUISPACED, n), y, m_deg, chunk=1000),
+            rhs(Grid(pts, GridKind.EQUISPACED), y, m_deg),
+            rhs(make_grid(GridKind.EQUISPACED, n), y, m_deg),
             rtol=1e-12, atol=1e-12 * n)
 
     def test_single_point_grid_rejected(self):
         with pytest.raises(ValueError, match="N >= 1"):
-            rhs(Grid(np.zeros(1), GridKind.EQUISPACED), np.ones(1), 0)
+            Grid(np.zeros(1), GridKind.EQUISPACED)
+
+    @pytest.mark.parametrize("kind", [GridKind.ARBITRARY, GridKind.CHEBYSHEV_FIRST_KIND])
+    def test_other_grid_kinds_rejected(self, kind):
+        # rhs trusts the points of an EQUISPACED grid only; the same points
+        # under another kind were never checked.
+        grid = Grid(make_grid(GridKind.EQUISPACED, 10).points, kind)
+        with pytest.raises(ValueError, match=f"equispaced grid, got kind '{kind.value}'"):
+            rhs(grid, np.ones(11), 2)
 
     def test_bits_independent_of_blas_threads(self, outputs_per_blas_thread_count):
         """OpenBLAS splits dot products longer than about 1e4 across threads;
         with chunks longer than that, rhs must still give the same bits under
         one and two BLAS threads."""
         n, m_deg = 300_000, 10
-        chunk = inspect.signature(rhs).parameters["chunk"].default
+        chunk = fastgram._CHUNK
         assert chunk > 10 ** 4 and (n // 2 + 1) // chunk >= 3
         script = (
             "import hashlib, numpy as np\n"
@@ -276,7 +277,7 @@ class TestRhs:
             self, outputs_per_blas_thread_count):
         """At the benchmark's shapes (N, M) = (4e6, 27), (62500, 125) and
         (1e6, 35) the panel contraction runs, and its bits are the same under
-        one and two BLAS threads, with the default chunk and with every
+        one and two BLAS threads, with the default _CHUNK and with every
         panel in one block. np.matmul in place of the contraction's einsum
         gives other bits under two threads at (62500, 125) in one block."""
         shapes = ((4_000_000, 27), (62_500, 125), (1_000_000, 35))
@@ -285,12 +286,13 @@ class TestRhs:
             assert n // 2 + 1 >= w >= 4 * (m_deg + 1)
         script = (
             "import hashlib, numpy as np\n"
-            "from stable_extrap import GridKind, make_grid, rhs\n"
+            "from stable_extrap import GridKind, fastgram, make_grid, rhs\n"
             f"for n, m in {shapes!r}:\n"
             "    grid = make_grid(GridKind.EQUISPACED, n)\n"
             "    y = np.random.default_rng(n).normal(size=n + 1)\n"
             "    for chunk in (16384, 10 ** 9):\n"
-            "        b = rhs(grid, y, m, chunk=chunk)\n"
+            "        fastgram._CHUNK = chunk\n"
+            "        b = rhs(grid, y, m)\n"
             "        print(hashlib.sha1(b.tobytes()).hexdigest())\n"
         )
         outputs = outputs_per_blas_thread_count(script)
