@@ -32,7 +32,6 @@ from .vandermonde import (
     spectral_report,
 )
 from .fastgram import (
-    GramMethod,
     GramSystem,
     gram_fast,
     rhs,

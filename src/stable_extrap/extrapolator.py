@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import GridKind, SampleSet, cheb_eval, clenshaw_eval
+from .basis import SampleSet, cheb_eval, clenshaw_eval
 from .fastgram import gram_fast  # unused; the benchmark tracer wraps it (ROADMAP item 0)
 from .solver import FitResult, fit
 from .vandermonde import spectral_report  # unused; the benchmark tracer wraps it (ROADMAP item 0)
@@ -169,14 +169,12 @@ def extrapolate(samples: SampleSet, params: ProblemParams, xs) -> ExtrapolationR
     of the design matrix, and the regime's asymptotic bound factor, which
     omits only constants. Under M <= sqrt(N)/2 the measured sigma_min^2 is at
     least the guaranteed 2N/(125(2M+1)), so the bound is never looser than
-    the one that floor would give. The grid must be of kind EQUISPACED.
+    the one that floor would give. fit refuses a grid not of kind EQUISPACED.
     """
     if samples.n != params.n_samples:
         raise ValueError(
             f"sample grid has N={samples.n} but params declare N={params.n_samples}"
         )
-    if samples.grid.kind != GridKind.EQUISPACED:
-        raise ValueError("extrapolation requires an equispaced grid")
     xs = [float(x) for x in np.atleast_1d(np.asarray(xs, dtype=float))]
     # Validate all points up front so no partial work happens on bad input.
     pairs = [r_alpha(x, params.rho) for x in xs]

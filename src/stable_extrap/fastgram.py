@@ -19,14 +19,12 @@ three-term recurrence over only K proxies per panel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .basis import Basis, Grid, GridKind, _recurrence
 
 __all__ = [
-    "GramMethod",
     "GramSystem",
     "trapezium_error_matrix",
     "gram_fast",
@@ -55,11 +53,6 @@ _EXACT_WEIGHTS = {
 }
 
 
-class GramMethod(str, Enum):
-    NAIVE = "naive"
-    FAST = "fast"
-
-
 @dataclass(frozen=True)
 class GramSystem:
     """Normal-equation matrix with its diagnostics."""
@@ -80,7 +73,7 @@ def trapezium_error_matrix(m_degree: int, n_samples: int) -> np.ndarray:
     s <= 9 suffices. The two products are shared across entries through
     tables keyed by (m-n)^2 and (m+n)^2, so total work is O(M^2) and table
     memory O(M). Past M = sqrt(N)/2 the truncated series is no longer
-    accurate, so fit takes the dense Gram there.
+    accurate, so fit refuses such a degree.
     """
     if m_degree < 1:
         raise ValueError("correction matrix needs degree M >= 1")

@@ -1,27 +1,25 @@
 """Least-squares polynomial fitting via the normal equations.
 
-The Gram matrix is well conditioned whenever M <= sqrt(N)/2, so Cholesky on
-the normal equations is the right tool here; QR on the tall design matrix
-would forfeit the O(M^2) fast assembly path for no stability gain in this
-regime. The grid and the degree pick how the normal equations are
-assembled (fit).
+fit covers the paper's regime alone: N+1 equispaced samples and
+M <= sqrt(N)/2. There the Chebyshev Gram has kappa <= 187.5(2M+1) whatever
+N is, so Cholesky on the normal equations is the right tool; QR on the tall
+design matrix would forfeit the O(M^2) fast assembly for no stability gain.
 """
 
 from __future__ import annotations
 
 import math
-import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import Basis, ChebyshevSeries, GridKind, LegendreSeries, SampleSet
-from .fastgram import GramMethod, gram_fast, rhs
+from .fastgram import gram_fast, rhs
 from .vandermonde import (
-    design_matrix,
+    design_matrix,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
     dominant_eigenvalue,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
     dominant_singular_value,
-    gram_naive,
+    gram_naive,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
     jacobi_eigenvalues,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
     spectral_report,
 )
@@ -49,18 +47,13 @@ class FitResult:
     n_samples: int
     gram_cond_estimate: float  # kappa_2 of gram, the design's kappa squared
     sigma_min: float  # smallest singular value of the design matrix
-    method: GramMethod
-    # The dense route's Gram, read-only; None on the fast route, whose Gram
-    # depends on (M, N) alone, so a kept result holds O(M) numbers, not O(M^2).
-    dense_gram: np.ndarray | None = field(repr=False)
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()  # always empty; the benchmark tracer reads it
 
     @property
     def gram(self) -> np.ndarray:
-        """The normal-equation matrix that was solved, read-only; a fast-route
-        Gram is rebuilt on each access, with the bits the solve used."""
-        if self.dense_gram is not None:
-            return self.dense_gram
+        """The normal-equation matrix that was solved, read-only. It depends
+        on (M, N) alone, so a kept result holds O(M) numbers and the Gram is
+        rebuilt on each access, with the bits the solve used."""
         basis = (Basis.CHEBYSHEV if isinstance(self.series, ChebyshevSeries)
                  else Basis.LEGENDRE)
         g = _equispaced_gram(self.m_degree, self.n_samples, basis)
@@ -145,10 +138,9 @@ def legendre_to_chebyshev(series: LegendreSeries) -> ChebyshevSeries:
 
 
 def _equispaced_gram(m_degree: int, n: int, basis: Basis) -> np.ndarray:
-    """The fast route's normal-equation matrix: the Chebyshev Gram G, or
-    S^T G S for a Legendre fit (V_leg = V_cheb S). numpy's einsum loops, not
-    BLAS, form the products, so the bits do not depend on the BLAS thread
-    count."""
+    """fit's normal-equation matrix: the Chebyshev Gram G, or S^T G S for a
+    Legendre fit (V_leg = V_cheb S). numpy's einsum loops, not BLAS, form the
+    products, so the bits do not depend on the BLAS thread count."""
     g = gram_fast(m_degree, n).matrix
     if basis == Basis.LEGENDRE:
         s = basis_change_matrix(m_degree).entries
@@ -157,63 +149,37 @@ def _equispaced_gram(m_degree: int, n: int, basis: Basis) -> np.ndarray:
     return g
 
 
-def _naive_system(samples: SampleSet, m_degree: int, basis: Basis):
-    v = design_matrix(samples.grid, m_degree, basis)
-    g = gram_naive(v)
-    e = v.entries
-    b = np.array([float(np.sum(e[:, k] * samples.values))
-                  for k in range(m_degree + 1)])
-    return g, b
-
-
 def fit(samples: SampleSet, m_degree: int,
         basis: Basis = Basis.CHEBYSHEV) -> FitResult:
     """Least-squares polynomial fit of degree M to the sample values.
 
-    A grid of kind EQUISPACED (x_k = 2k/N - 1) with M <= sqrt(N)/2 takes the
-    fast Chebyshev Gram G and b in O(M^2 + MN), in either basis: V_leg = V_cheb S
+    The grid must be of kind EQUISPACED (x_k = 2k/N - 1) and N >= 4M^2,
+    that is M <= sqrt(N)/2, or ValueError is raised: past that boundary the
+    fast Gram's truncated correction series is no longer accurate (1e-5 N at
+    M = 20, N = 100) and the paper's conditioning bound does not hold. The
+    Chebyshev Gram G and b take O(M^2 + MN) in either basis: V_leg = V_cheb S
     with S = basis_change_matrix(M), so a Legendre fit solves
-    S^T G S c = S^T b. Past M = sqrt(N)/2 the fast Gram's truncated
-    correction series is no longer accurate (1e-5 N at M = 20, N = 100), so
-    such a fit, and a fit on any other grid, takes the dense design-matrix
-    product; the one warning says so. The factorization
-    is Cholesky with a single 1e-14*trace(G) shift retry when the Gram is
-    semidefinite to tolerance, and the solved system is verified to a
-    residual of 1e-10 * ||b||. sigma_min and kappa come from the solved Gram;
-    a Gram whose smallest eigenvalue is not positive raises SolverError even
-    when its Cholesky factorization succeeded.
+    S^T G S c = S^T b. An unshifted Cholesky solves the system, which is
+    verified to a residual of 1e-10 * ||b|| (else SolverError); sigma_min and
+    kappa come from the solved Gram.
     """
     basis = Basis(basis)
     n = samples.n
     if m_degree < 0:
         raise ValueError("degree must be nonnegative")
-    if m_degree > n:
-        raise ValueError(f"degree M={m_degree} exceeds N={n}")
+    if samples.grid.kind != GridKind.EQUISPACED:
+        raise ValueError(
+            f"fit needs an equispaced grid, got kind {GridKind(samples.grid.kind).value!r}")
+    if n < 4 * m_degree * m_degree:
+        raise ValueError(
+            f"degree M={m_degree} exceeds sqrt(N)/2={0.5 * math.sqrt(n):.2f} "
+            f"(N={n}); fit needs N >= 4M^2")
 
-    notes: list[str] = []
-    subsampled = n < 4 * m_degree * m_degree  # M > sqrt(N)/2
-    equispaced = samples.grid.kind == GridKind.EQUISPACED
-    if subsampled:
-        msg = (f"M={m_degree} exceeds sqrt(N)/2={0.5 * math.sqrt(n):.2f}; "
-               "conditioning guarantees no longer apply")
-        if equispaced:
-            msg += "; the fast Gram was bypassed for the dense one"
-        _warnings.warn(msg, stacklevel=2)
-        notes.append(msg)
-
-    if equispaced and not subsampled:
-        method = GramMethod.FAST
-        g = _equispaced_gram(m_degree, n, basis)
-        b = rhs(samples.grid, samples.values, m_degree)
-        if basis == Basis.LEGENDRE:
-            b = np.einsum("ki,k->i", basis_change_matrix(m_degree).entries, b)
-    else:
-        method = GramMethod.NAIVE
-        g, b = _naive_system(samples, m_degree, basis)
-
-    coeffs, shifted = _solve_spd(g, b, m_degree, n)
-    if shifted:
-        notes.append("Gram semidefinite to tolerance; shifted by 1e-14*trace")
+    g = _equispaced_gram(m_degree, n, basis)
+    b = rhs(samples.grid, samples.values, m_degree)
+    if basis == Basis.LEGENDRE:
+        b = np.einsum("ki,k->i", basis_change_matrix(m_degree).entries, b)
+    coeffs = _cholesky_solve(g, b)
 
     resid = float(np.linalg.norm(g @ coeffs - b))
     if resid > 1e-10 * max(float(np.linalg.norm(b)), 1e-300):
@@ -223,38 +189,16 @@ def fit(samples: SampleSet, m_degree: int,
         )
 
     report = spectral_report(g)
-    if report.sigma_min == 0.0:
-        raise SolverError(
-            f"Gram matrix numerically singular: its smallest eigenvalue is "
-            f"not positive (M={m_degree}, N={n}); expected only when M >> sqrt(N)"
-        )
     series = (ChebyshevSeries(coeffs) if basis == Basis.CHEBYSHEV
               else LegendreSeries(coeffs))
-    g.setflags(write=False)
-    return FitResult(series, m_degree, n, report.cond2 ** 2, report.sigma_min,
-                     method, g if method == GramMethod.NAIVE else None,
-                     tuple(notes))
+    return FitResult(series, m_degree, n, report.cond2 ** 2, report.sigma_min)
 
 
 def _cholesky_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve g c = b through g = L L^T; raises LinAlgError unless g is
-    positive definite. numpy has no triangular solver, so L and L^T go
-    through np.linalg.solve, whose O(M^3) LU costs well under a millisecond
-    at the degrees used here."""
+    positive definite, which fit's Grams are (tested up to M = 600 at
+    N = 4M^2). numpy has no triangular solver, so L and L^T go through
+    np.linalg.solve, whose O(M^3) LU costs well under a millisecond at the
+    degrees used here."""
     low = np.linalg.cholesky(g)
     return np.linalg.solve(low.T, np.linalg.solve(low, b))
-
-
-def _solve_spd(g: np.ndarray, b: np.ndarray, m_degree: int, n: int):
-    try:
-        return _cholesky_solve(g, b), False
-    except np.linalg.LinAlgError:
-        pass
-    shift = 1e-14 * float(np.trace(g))
-    try:
-        return _cholesky_solve(g + shift * np.eye(g.shape[0]), b), True
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"Gram matrix numerically indefinite even after shift "
-            f"(M={m_degree}, N={n}); expected only when M >> sqrt(N)"
-        ) from exc

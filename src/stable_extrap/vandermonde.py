@@ -1,7 +1,7 @@
 """Design matrices on arbitrary grids, naive Gram products, and spectra.
 
-fit takes the dense Gram only on grids that are not equispaced; the tests
-keep it as the reference for the fast equispaced path.
+fit never forms the dense Gram; verify and experiments take design spectra
+from it, and the tests keep it as the reference for the fast Gram.
 
 spectral_report, which fit uses for sigma_min and kappa, takes the
 extreme eigenvalues from LAPACK's symmetric eigensolver (np.linalg.eigvalsh).

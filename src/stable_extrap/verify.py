@@ -339,25 +339,30 @@ def run_suite(name: str, m_degree: int | None = None,
               n_samples: int | None = None) -> list[CheckResult]:
     """Run a named suite of checks, sorted by (name, params) for stable output.
 
-    An override the suite does not honor (_OVERRIDES) raises ValueError.
-    Each design spectrum (M, N, basis) is computed once per call and kept
-    by no later call.
+    An override of None keeps the suite's sizes, and any other value, 0
+    included, replaces them. One the suite does not honor (_OVERRIDES), a
+    negative one or one a check cannot run with raises ValueError. Each
+    design spectrum (M, N, basis) is computed once per call and kept by no
+    later call.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES[:-1])}, all")
     for flag, value in (("M", m_degree), ("N", n_samples)):
         if value is not None and flag not in _OVERRIDES[name]:
             raise ValueError(f"suite {name!r} takes no {flag} override")
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} override must be nonnegative, got {value}")
     spectra: dict = {}
     if name == "singular-values":
         results = _suite_singular_values(
-            spectra, (n_samples,) if n_samples else (64, 256, 1024, 4096))
+            spectra, (n_samples,) if n_samples is not None else (64, 256, 1024, 4096))
     elif name == "conditioning":
         results = _suite_conditioning(spectra)
     elif name == "gerschgorin":
-        results = _suite_gerschgorin(m_degree or 30, n_samples or 3600)
+        results = _suite_gerschgorin(30 if m_degree is None else m_degree,
+                                     3600 if n_samples is None else n_samples)
     elif name == "s-norm":
-        results = _suite_s_norm((m_degree,) if m_degree else (10, 100, 1000))
+        results = _suite_s_norm((m_degree,) if m_degree is not None else (10, 100, 1000))
     elif name == "sandwich":
         results = _suite_sandwich((n_samples,) if n_samples is not None else (4, 8, 12, 16, 20))
     else:

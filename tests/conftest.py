@@ -2,10 +2,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 import stable_extrap
+from stable_extrap import Basis, design_matrix, gram_naive, spectral_report
 
 SRC = str(Path(stable_extrap.__file__).resolve().parents[1])
 
@@ -30,3 +33,27 @@ def outputs_per_blas_thread_count():
         return outputs
 
     return run
+
+
+class DenseFit(NamedTuple):
+    coeffs: np.ndarray
+    gram: np.ndarray
+    gram_cond_estimate: float
+
+
+@pytest.fixture(scope="session")
+def dense_fit():
+    """The tests' oracle for fit on any grid and degree: the dense design
+    matrix V, gram_naive(V), b = V^T y one column at a time and a Cholesky
+    solve, in O(M^2 N) work with none of fit's fast assembly."""
+
+    def solve(samples, m_degree, basis=Basis.CHEBYSHEV) -> DenseFit:
+        v = design_matrix(samples.grid, m_degree, basis)
+        g = gram_naive(v)
+        b = np.array([float(np.sum(v.entries[:, k] * samples.values))
+                      for k in range(m_degree + 1)])
+        low = np.linalg.cholesky(g)
+        coeffs = np.linalg.solve(low.T, np.linalg.solve(low, b))
+        return DenseFit(coeffs, g, spectral_report(g).cond2 ** 2)
+
+    return solve

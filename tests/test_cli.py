@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +71,7 @@ def test_documents_hold_only_python_scalars(tmp_path, monkeypatch):
     csv_path = tmp_path / "f.csv"
     write_samples(csv_path, 400, lambda x: 1.0 / (1.0 + x ** 2))
     commands = (
-        ["fit", "--input", str(csv_path), "--M", "12"],
+        ["fit", "--input", str(csv_path), "--M", "10"],
         ["fit", "--input", str(csv_path), "--auto", "--rho", "2", "--eps", "1e-10",
          "--Q", "1.5", "--basis", "leg"],
         ["extrapolate", "--input", str(csv_path), "--rho", "2", "--eps", "1e-10",
@@ -80,9 +79,7 @@ def test_documents_hold_only_python_scalars(tmp_path, monkeypatch):
         ["verify", "--suite", "all"],
     )
     for argv in commands:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # fit --M 12 at N=400 is past sqrt(N)/2
-            assert main(argv + ["--output", str(tmp_path / "out.json")]) in (0, 1)
+        assert main(argv + ["--output", str(tmp_path / "out.json")]) in (0, 1)
     assert len(documents) == len(commands)
     for doc in documents:
         assert python_scalars_only(doc)
@@ -270,7 +267,17 @@ class TestFitCommand:
         csv_path = tmp_path / "s.csv"
         write_samples(csv_path, 100, np.cos)
         assert main(["fit", "--input", str(csv_path), "--M", "200"]) == 2
-        assert "exceeds N" in capsys.readouterr().err
+        assert "M=200 exceeds sqrt(N)/2=5.00 (N=100)" in capsys.readouterr().err
+
+    def test_degree_past_half_sqrt_n_exits_2(self, tmp_path, capsys):
+        # M = 11 at N = 400 is one past sqrt(N)/2 = 10, the last degree the
+        # paper's conditioning bound covers.
+        csv_path = tmp_path / "s.csv"
+        write_samples(csv_path, 400, np.cos)
+        assert main(["fit", "--input", str(csv_path), "--M", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "M=11 exceeds sqrt(N)/2=10.00 (N=400)" in captured.err
 
     def test_missing_degree_exits_2(self, tmp_path):
         csv_path = tmp_path / "s.csv"
@@ -390,6 +397,30 @@ class TestVerifyCommand:
         out_path = tmp_path / "v.json"
         assert main(["verify", "--suite", "gerschgorin", "--M", "30",
                      "--N", "3600", "--output", str(out_path)]) == 0
+
+    @pytest.mark.parametrize("suite, expected", [
+        ("gerschgorin", {"M": 0, "N": 3600}), ("s-norm", {"M": 0}),
+    ])
+    def test_zero_override_is_used(self, tmp_path, suite, expected):
+        # 0 is a size like any other, not "no override".
+        out_path = tmp_path / "v.json"
+        assert main(["verify", "--suite", suite, "--M", "0",
+                     "--output", str(out_path)]) == 0
+        doc = json.loads(out_path.read_text())
+        assert doc and all(entry["params"] == expected for entry in doc)
+
+    @pytest.mark.parametrize("suite, overrides, message", [
+        ("gerschgorin", ["--M", "-1"], "M override must be nonnegative, got -1"),
+        ("gerschgorin", ["--N", "-1"], "N override must be nonnegative, got -1"),
+        ("s-norm", ["--M", "-1"], "M override must be nonnegative, got -1"),
+        ("singular-values", ["--N", "-1"], "N override must be nonnegative, got -1"),
+        ("sandwich", ["--N", "-1"], "N override must be nonnegative, got -1"),
+        ("singular-values", ["--N", "0"], "needs n >= 1"),
+        ("gerschgorin", ["--M", "31", "--N", "30"], "requires M <= N"),
+    ])
+    def test_override_a_suite_cannot_run_exits_2(self, capsys, suite, overrides, message):
+        assert main(["verify", "--suite", suite, *overrides]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite, flag", [
         ("conditioning", "--M"), ("conditioning", "--N"), ("s-norm", "--N"),

@@ -161,8 +161,8 @@ class TestExtrapolate:
             extrapolate(equispaced_samples(np.cos, 64), params, [1.0])
 
     def test_non_equispaced_grid_rejected(self):
-        # The bound and M* assume the equispaced design; fit alone would take
-        # the dense route on these points.
+        # The bound and M* assume the equispaced design, and fit refuses any
+        # other grid.
         grid = make_grid(GridKind.CHEBYSHEV_FIRST_KIND, 100)
         samples = SampleSet(grid, np.cos(grid.points))
         with pytest.raises(ValueError, match="equispaced"):

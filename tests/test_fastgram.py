@@ -111,8 +111,8 @@ class TestTrapeziumErrorMatrix:
             trapezium_error_matrix(0, 100)
 
     def test_undersampled_is_flagged_not_warned(self):
-        # N < 4M^2 is the condition fit already warns about (M > sqrt(N)/2);
-        # the Gram does not warn, so the caller sees one warning.
+        # N < 4M^2 is the condition fit refuses (M > sqrt(N)/2); the Gram
+        # itself neither warns nor raises.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trapezium_error_matrix(10, 100)
@@ -330,7 +330,10 @@ class TestRhs:
         range M <= 127 and often at 127 (w = 4(M+1), the last compressed
         degree) and 128. Half the draws put the folded half within two
         points of a multiple of the panel width, at N >= 4M^2 where the
-        panels run."""
+        panels run. In that regime half the draws put y = +-1 (random signs)
+        only at |x| > 0.99, where the recurrence rounds worst and Gaussian y
+        hides it; past it the bound does not hold for such y, and fit never
+        goes there."""
         m_deg = data.draw(st.one_of(st.integers(0, 127), st.integers(0, 300),
                                     st.sampled_from([31, 127, 128])), label="M")
         w = fastgram._panel_width(m_deg + 1)
@@ -343,8 +346,12 @@ class TestRhs:
         n = max(1, 2 * (half - 1) + data.draw(st.integers(0, 1), label="N odd"))
         m_deg = min(m_deg, n)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-        y = rng.normal(size=n + 1) + data.draw(st.sampled_from([0.0, 3.0]), label="offset")
         grid = make_grid(GridKind.EQUISPACED, n)
+        if n >= 4 * m_deg * m_deg and data.draw(st.booleans(), label="y only near +-1"):
+            signs = rng.choice([-1.0, 1.0], size=n + 1)
+            y = np.where(np.abs(grid.points) > 0.99, signs, 0.0)
+        else:
+            y = rng.normal(size=n + 1) + data.draw(st.sampled_from([0.0, 3.0]), label="offset")
         x = grid.points.astype(np.longdouble)
         yl = y.astype(np.longdouble)
         ref = np.empty(m_deg + 1, dtype=np.longdouble)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,12 +11,10 @@ from stable_extrap import (
     Basis,
     BasisChangeMatrix,
     ChebyshevSeries,
-    GramMethod,
     Grid,
     GridKind,
     LegendreSeries,
     SampleSet,
-    SolverError,
     basis_change_matrix,
     cheb_eval,
     fit,
@@ -29,7 +28,7 @@ from stable_extrap import (
     psi_table,
     spectral_report,
 )
-from stable_extrap.solver import _solve_spd
+from stable_extrap.solver import _equispaced_gram
 
 
 def equispaced_samples(fn, n):
@@ -151,7 +150,6 @@ class TestFit:
         samples = equispaced_samples(lambda x: cheb_eval(2, x), 16)
         result = fit(samples, 2)
         np.testing.assert_allclose(result.series.coeffs, [0.0, 0.0, 1.0], atol=1e-12)
-        assert result.method == GramMethod.FAST
 
     def test_approximation_power_bound(self):
         # f analytic and bounded by 1.5 on the rho = 2.414 ellipse
@@ -203,22 +201,20 @@ class TestFit:
         assert result.sigma_min == report.sigma_min
 
     @pytest.mark.parametrize("basis", list(Basis))
-    def test_fast_route_result_holds_no_gram(self, basis):
+    def test_fast_route_result_holds_no_gram(self, basis, dense_fit):
         # A kept result holds O(M) numbers; its Gram, a function of (M, N)
-        # alone on the fast route, is rebuilt with the bits the fit solved.
-        points = make_grid(GridKind.EQUISPACED, 400).points
-        result = fit(SampleSet(Grid(points, GridKind.EQUISPACED), np.cos(points)), 10,
-                     basis=basis)
-        assert result.method == GramMethod.FAST and result.dense_gram is None
+        # alone, is rebuilt with the bits the fit solved.
+        samples = equispaced_samples(np.cos, 400)
+        result = fit(samples, 10, basis=basis)
+        assert not any(np.ndim(getattr(result, f.name)) == 2 for f in fields(result))
         assert not result.gram.flags.writeable
         assert spectral_report(result.gram).cond2 ** 2 == result.gram_cond_estimate
-        dense = fit(SampleSet(Grid(points, GridKind.ARBITRARY), np.cos(points)), 10,
-                    basis=basis)
-        assert dense.gram is dense.dense_gram and not dense.gram.flags.writeable
+        dense = dense_fit(samples, 10, basis)
+        assert np.max(np.abs(result.gram - dense.gram)) <= 1e-10 * samples.n
 
     def test_degree_exceeding_samples_rejected(self):
         samples = equispaced_samples(np.cos, 100)
-        with pytest.raises(ValueError, match="exceeds N"):
+        with pytest.raises(ValueError, match=r"M=200 exceeds sqrt\(N\)/2=5\.00 \(N=100\)"):
             fit(samples, 200)
 
     def test_fast_gram_requires_chebyshev(self):
@@ -228,7 +224,6 @@ class TestFit:
         samples = equispaced_samples(np.cos, 100)
         cheb = fit(samples, 5)
         leg = fit(samples, 5, basis=Basis.LEGENDRE)
-        assert (cheb.method, leg.method) == (GramMethod.FAST, GramMethod.FAST)
         np.testing.assert_array_equal(cheb.gram, gram_fast(5, 100).matrix)
         s = basis_change_matrix(5).entries
         ref = s.T @ cheb.gram @ s
@@ -237,19 +232,17 @@ class TestFit:
     @given(n=st.integers(16, 5000), m_frac=st.floats(0.0, 1.0),
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_equispaced_legendre_fit_matches_dense_reference(self, n, m_frac, seed):
+    def test_equispaced_legendre_fit_matches_dense_reference(self, n, m_frac, seed,
+                                                             dense_fit):
         """A Legendre fit on an equispaced grid takes the fast Gram through
-        S and agrees with the dense route on the same points labelled
-        ARBITRARY; its Chebyshev form is the Chebyshev fit."""
+        S and agrees with the dense oracle on the same samples; its
+        Chebyshev form is the Chebyshev fit."""
         m_deg = int(m_frac * 0.5 * math.sqrt(n))
         grid = make_grid(GridKind.EQUISPACED, n)
         y = np.random.default_rng(seed).normal(size=n + 1)
         fast = fit(SampleSet(grid, y), m_deg, basis=Basis.LEGENDRE)
-        dense = fit(SampleSet(Grid(grid.points, GridKind.ARBITRARY), y), m_deg,
-                    basis=Basis.LEGENDRE)
-        assert fast.method == GramMethod.FAST
-        assert dense.method == GramMethod.NAIVE
-        ref = dense.series.coeffs
+        dense = dense_fit(SampleSet(grid, y), m_deg, Basis.LEGENDRE)
+        ref = dense.coeffs
         assert np.max(np.abs(fast.series.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert fast.gram_cond_estimate == pytest.approx(dense.gram_cond_estimate, rel=1e-12)
         cheb = fit(SampleSet(grid, y), m_deg).series.coeffs
@@ -257,10 +250,14 @@ class TestFit:
         assert np.max(np.abs(via_leg - cheb)) <= 1e-12 * np.max(np.abs(cheb))
 
     def test_fast_gram_requires_equispaced(self):
-        grid = make_grid(GridKind.CHEBYSHEV_FIRST_KIND, 100)
-        samples = SampleSet(grid, np.cos(grid.points))
-        result = fit(samples, 5)  # falls back to the dense route
-        assert result.method == GramMethod.NAIVE
+        # The fast Gram and the paper's bounds hold on the equispaced grid
+        # alone, so fit refuses any other kind in either basis.
+        points = make_grid(GridKind.CHEBYSHEV_FIRST_KIND, 100).points
+        for kind in (GridKind.CHEBYSHEV_FIRST_KIND, GridKind.ARBITRARY):
+            samples = SampleSet(Grid(points, kind), np.cos(points))
+            for basis in Basis:
+                with pytest.raises(ValueError, match=f"equispaced grid, got kind '{kind.value}'"):
+                    fit(samples, 5, basis=basis)
 
     def test_fast_gram_rejects_asymmetric_grid_labelled_equispaced(self):
         # Increasing points that are not mirror-symmetric would pair the
@@ -279,54 +276,59 @@ class TestFit:
             Grid(pts, GridKind.EQUISPACED)
 
     def test_warns_past_conditioning_boundary(self):
+        # Past M = sqrt(N)/2 fit refuses rather than warns, and the message
+        # names the boundary.
         samples = equispaced_samples(np.cos, 100)
-        with pytest.warns(UserWarning, match="sqrt"):
-            result = fit(samples, 11)
-        assert any("sqrt" in w for w in result.warnings)
+        with pytest.raises(ValueError, match=r"M=11 exceeds sqrt\(N\)/2=5\.00 \(N=100\); "
+                                             r"fit needs N >= 4M\^2"):
+            fit(samples, 11)
 
     def test_one_warning_past_conditioning_boundary(self):
-        # M > sqrt(N)/2 and N < 4M^2 are one condition: one warning, charged
-        # to the caller's line, and one note.
+        # M > sqrt(N)/2 and N < 4M^2 are one condition: one error, and no
+        # warning beside it.
         samples = equispaced_samples(np.cos, 100)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = fit(samples, 11)
-        assert [w.category for w in caught] == [UserWarning]
-        assert caught[0].filename == __file__
-        assert len(result.warnings) == 1
-        assert "fast Gram was bypassed" in result.warnings[0]
+            with pytest.raises(ValueError, match=r"sqrt\(N\)/2"):
+                fit(samples, 11)
+        assert caught == []
 
     @pytest.mark.parametrize("basis", list(Basis))
     def test_subsampled_fit_uses_dense_gram(self, basis):
         # At (M, N) = (20, 100) the fast Gram's truncated correction series
-        # is off by about 1e-5 N, so the fit must take the dense Gram and
-        # agree with the same points labelled ARBITRARY.
+        # is off by about 1e-5 N, and no other Gram is on offer: the fit is
+        # refused in either basis.
         grid = make_grid(GridKind.EQUISPACED, 100)
         y = np.random.default_rng(20).normal(size=101)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = fit(SampleSet(grid, y), 20, basis=basis)
-            dense = fit(SampleSet(Grid(grid.points, GridKind.ARBITRARY), y), 20,
-                        basis=basis)
-        assert result.method == dense.method == GramMethod.NAIVE
-        ref = dense.series.coeffs
-        assert np.max(np.abs(result.series.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+        with pytest.raises(ValueError, match=r"M=20 exceeds sqrt\(N\)/2"):
+            fit(SampleSet(grid, y), 20, basis=basis)
 
     def test_square_system_fails_loudly(self):
         # Interpolation-sized systems are exponentially ill conditioned; the
-        # factorization failure must carry the (M, N) context.
+        # refusal must carry the (M, N) context.
         samples = equispaced_samples(lambda x: 1.0 / (1.0 + x * x), 40)
-        with pytest.warns(UserWarning):
-            with pytest.raises(SolverError, match="M=40, N=40"):
-                fit(samples, 40)
+        with pytest.raises(ValueError, match=r"M=40 exceeds sqrt\(N\)/2=3\.16 \(N=40\)"):
+            fit(samples, 40)
 
-    def test_shift_retry_solves_singular_psd(self):
-        # [[1, 1], [1, 1]] is semidefinite: the plain Cholesky fails and the
-        # 1e-14*trace shift makes it definite.
-        coeffs, shifted = _solve_spd(np.ones((2, 2)), np.array([1.0, 1.0]), 1, 1)
-        assert shifted
-        assert np.all(np.isfinite(coeffs))
-        np.testing.assert_allclose(np.ones((2, 2)) @ coeffs, [1.0, 1.0], rtol=1e-12)
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("m_deg", [1, 2, 5, 25])
+    def test_boundary_accepted_and_one_sample_short_refused(self, m_deg, basis):
+        # N = 4M^2 is M = sqrt(N)/2 exactly, the last degree in the regime.
+        n = 4 * m_deg * m_deg
+        assert fit(equispaced_samples(np.cos, n), m_deg, basis=basis).m_degree == m_deg
+        with pytest.raises(ValueError, match=rf"M={m_deg} exceeds sqrt\(N\)/2"):
+            fit(equispaced_samples(np.cos, n - 1), m_deg, basis=basis)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_unshifted_cholesky_succeeds_at_the_boundary(self, basis):
+        # fit factors its Gram with no shift and no retry. At M <= sqrt(N)/2
+        # the Chebyshev Gram has kappa <= 187.5(2M+1), so the factorization
+        # cannot fail; this checks it does not at N in {4M^2, 4M^2 + 1}.
+        # np.linalg.cholesky raises LinAlgError unless the Gram is positive
+        # definite.
+        for m_deg in [*range(1, 129), 200, 300, 400, 500, 600]:
+            for n in (4 * m_deg * m_deg, 4 * m_deg * m_deg + 1):
+                np.linalg.cholesky(_equispaced_gram(m_deg, n, basis))
 
     def test_bits_independent_of_blas_threads(self, outputs_per_blas_thread_count):
         """LAPACK's Cholesky and eigvalsh give the same sigma_min and fit
@@ -353,13 +355,11 @@ class TestFit:
         assert len(outputs[0].splitlines()) == 2
         assert outputs[0] == outputs[1]
 
-    def test_naive_chebyshev_matches_fast(self):
+    def test_naive_chebyshev_matches_fast(self, dense_fit):
         samples = equispaced_samples(lambda x: np.exp(x), 256)
         fast = fit(samples, 8)
-        naive = fit(SampleSet(Grid(samples.grid.points, GridKind.ARBITRARY),
-                              samples.values), 8)
-        assert (fast.method, naive.method) == (GramMethod.FAST, GramMethod.NAIVE)
-        np.testing.assert_allclose(fast.series.coeffs, naive.series.coeffs,
+        naive = dense_fit(samples, 8)
+        np.testing.assert_allclose(fast.series.coeffs, naive.coeffs,
                                    rtol=1e-10, atol=1e-14)
 
 
