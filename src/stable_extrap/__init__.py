@@ -21,7 +21,6 @@ from .basis import (
     make_grid,
 )
 from .vandermonde import (
-    DesignMatrix,
     SpectralReport,
     design_matrix,
     dominant_eigenvalue,
@@ -32,10 +31,8 @@ from .vandermonde import (
     spectral_report,
 )
 from .fastgram import (
-    GramSystem,
     gram_fast,
     rhs,
-    trapezium_error_matrix,
 )
 from .solver import (
     BasisChangeMatrix,

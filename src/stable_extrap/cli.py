@@ -137,7 +137,10 @@ def cmd_fit(args) -> int:
     if args.auto:
         if args.rho is None or args.eps is None or args.Q is None:
             raise CliError("--auto needs --rho, --eps, and --Q")
-        params = ProblemParams(samples.n, args.rho, args.eps, args.Q)
+        try:
+            params = ProblemParams(samples.n, args.rho, args.eps, args.Q)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         m_star, regime, degenerate = optimal_degree(params)
         degree = m_star
         auto_fields = {"M_star": m_star, "regime": regime.value,

@@ -59,6 +59,9 @@ class ProblemParams:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        for name, value in (("rho", self.rho), ("eps", self.eps), ("Q", self.q)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.rho > 1.0:
             raise ValueError("rho must exceed 1")
         if not self.eps > 0.0:

@@ -1,11 +1,12 @@
 """Fast assembly of the equispaced Chebyshev normal equations.
 
-On the equispaced grid, each Gram entry sum_k T_m(x_k) T_n(x_k) is a
-trapezium-rule approximation of the analytic integral of T_m T_n, so the
-entry equals the integral plus an endpoint term plus a correction series with
-weighted-Bernoulli coefficients. The correction products depend only on
-(m-n)^2 and (m+n)^2 (a Toeplitz-plus-Hankel structure), so the whole
-(M+1) x (M+1) matrix assembles in O(M^2) work, independent of N.
+By T_m T_n = (T_{m+n} + T_{|m-n|})/2, each Gram entry sum_i T_m(x_i) T_n(x_i)
+is (sigma_{m+n} + sigma_{|m-n|})/2, where sigma_k = sum_i T_k(x_i) is one
+trapezium sum on the equispaced grid; sigma_k = 0 for odd k by the grid's
+mirror symmetry. So the (M+1) x (M+1) matrix is Toeplitz plus Hankel in the
+M+1 numbers h_j = sigma_{2j}/2, and each h_j is the integral of T_{2j} plus
+an endpoint term plus a correction series with weighted-Bernoulli
+coefficients: O(M) numbers and O(M^2) assembly, independent of N.
 
 The right-hand side b_m = sum_k y_k T_m(x_k) is the one O(MN) step. The
 grid is a union of translates of one set of local nodes, so rhs replaces
@@ -18,15 +19,11 @@ three-term recurrence over only K proxies per panel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import Basis, Grid, GridKind, _recurrence
 
 __all__ = [
-    "GramSystem",
-    "trapezium_error_matrix",
     "gram_fast",
     "rhs",
 ]
@@ -38,9 +35,9 @@ _PANEL_MAX = 2048
 _PANEL_ENTRIES = 65536
 
 # B_{s+1}/(s+1)! for the odd correction orders s; even-order corrections
-# vanish identically. Under M <= sqrt(N)/2 each factor (t^2 - j^2)/(N(j+1/2))
-# of an order-s product is at most 1/(j+1/2) in size, because t^2 <= 4M^2 <= N
-# and j^2 < N, so order s adds at most 2^(s+1)/(2s-1)!! |B_{s+1}/(s+1)!| to a
+# vanish identically. Under M <= sqrt(N)/2 each factor (k^2 - l^2)/(N(l+1/2))
+# of an order-s product is at most 1/(l+1/2) in size, because k^2 <= 4M^2 <= N
+# and l^2 < N, so order s adds at most 2^(s+1)/(2s-1)!! |B_{s+1}/(s+1)!| to a
 # Gram entry: 1.6e-16 at s = 11, and less at every later order. The Gram's
 # norm is about N, so those orders lie below its rounding and the table
 # stops at s = 9.
@@ -53,92 +50,55 @@ _EXACT_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class GramSystem:
-    """Normal-equation matrix with its diagnostics."""
-
-    matrix: np.ndarray
-    correction_terms: np.ndarray | None = None
-
-
-def trapezium_error_matrix(m_degree: int, n_samples: int) -> np.ndarray:
-    """Correction matrix for the trapezium-rule identity on the equispaced grid.
-
-    Entry (m, n) is (2/N) * sum over odd s <= min(m+n-1, 9) of
-
-        [ prod_{j<s} ((m-n)^2 - j^2)/(N(j+1/2))
-          + prod_{j<s} ((m+n)^2 - j^2)/(N(j+1/2)) ] * B_{s+1}/(s+1)!
-
-    and exactly 0 when m+n is odd or m+n <= 1; _EXACT_WEIGHTS says why
-    s <= 9 suffices. The two products are shared across entries through
-    tables keyed by (m-n)^2 and (m+n)^2, so total work is O(M^2) and table
-    memory O(M). Past M = sqrt(N)/2 the truncated series is no longer
-    accurate, so fit refuses such a degree.
-    """
-    if m_degree < 1:
-        raise ValueError("correction matrix needs degree M >= 1")
-    if n_samples < 1:
-        raise ValueError("sample count N must be positive")
-
-    n = float(n_samples)
-    s_list = [s for s in _EXACT_WEIGHTS if s <= 2 * m_degree - 1]
-    # Product tables over the distinct squared values: diff_sq for |m-n|,
-    # sum_sq for m+n. Built by a two-factor recurrence from one odd order
-    # to the next.
-    diff_sq = np.arange(m_degree + 1, dtype=float) ** 2
-    sum_sq = np.arange(2 * m_degree + 1, dtype=float) ** 2
-    prod_diff, prod_sum = [], []
-    cur_d = diff_sq / (0.5 * n)
-    cur_s = sum_sq / (0.5 * n)
-    prev_s = 1
-    for s in s_list:
-        for j in range(prev_s, s):
-            cur_d = cur_d * ((diff_sq - j * j) / (n * (j + 0.5)))
-            cur_s = cur_s * ((sum_sq - j * j) / (n * (j + 0.5)))
-        prod_diff.append(cur_d.copy())
-        prod_sum.append(cur_s.copy())
-        prev_s = s
-
-    idx = np.arange(m_degree + 1)
-    d_idx = np.abs(idx[:, None] - idx[None, :])
-    t_idx = idx[:, None] + idx[None, :]
-    err = np.zeros((m_degree + 1, m_degree + 1))
-    for k, s in enumerate(s_list):
-        active = t_idx >= s + 1
-        term = (prod_diff[k][d_idx] + prod_sum[k][t_idx]) * _EXACT_WEIGHTS[s]
-        err += np.where(active, term, 0.0)
-    err *= 2.0 / n
-    err[(t_idx % 2) == 1] = 0.0
-    err[t_idx <= 1] = 0.0
-    return err
+def _integral_half_sums(m_degree: int, n_samples: int) -> np.ndarray:
+    """N/(2(1-k^2)) + 1/2 at k = 0, 2, ..., 2M: half of the trapezium sum
+    sigma_k without its Bernoulli corrections, that is N/2 times the integral
+    of T_k over [-1, 1] plus half the endpoint term T_k(-1) + T_k(1) = 2."""
+    k_sq = (2.0 * np.arange(m_degree + 1)) ** 2
+    return n_samples / (2.0 * (1.0 - k_sq)) + 0.5
 
 
-def gram_fast(m_degree: int, n_samples: int) -> GramSystem:
+def _gram_from_half_sums(h: np.ndarray) -> np.ndarray:
+    """The matrix G[m, n] = h[(m+n)/2] + h[|m-n|/2] for m+n even and 0 for
+    m+n odd, with m, n = 0..len(h)-1. The two terms are added in the same
+    order at (m, n) and (n, m), so G is exactly symmetric."""
+    idx = np.arange(h.size)
+    t = idx[:, None] + idx[None, :]
+    g = h[t // 2] + h[np.abs(idx[:, None] - idx[None, :]) // 2]
+    g[t % 2 == 1] = 0.0
+    return g
+
+
+def gram_fast(m_degree: int, n_samples: int) -> np.ndarray:
     """Equispaced Chebyshev Gram matrix in O(M^2), independent of N.
 
-    For m+n even the entry is N/(2(1-(m+n)^2)) + N/(2(1-(m-n)^2)) + 1 plus
-    N/2 times the correction matrix; entries with m+n odd vanish by the
-    antisymmetry of the grid. The (0,0) entry needs no special handling: the
-    two analytic terms contribute N/2 each, giving N+1 exactly.
+    G = _gram_from_half_sums(h) with h_j = sigma_{2j}/2, k = 2j, given by
+    the trapezium-rule identity
+
+        h_j = N/(2(1-k^2)) + 1/2
+              + sum over odd s <= 9 of B_{s+1}/(s+1)! prod_{l<s} (k^2-l^2)/(N(l+1/2)),
+
+    whose untruncated series ends at s = k - 1, since every later product
+    holds the factor k^2 - k^2 = 0; _EXACT_WEIGHTS says why s <= 9 suffices
+    under M <= sqrt(N)/2. Past that boundary the truncated series is no longer
+    accurate, so fit refuses such a degree. At k = 0 every product is 0, so
+    G[0, 0] = 2 h_0 = N+1 exactly.
     """
     if m_degree < 0:
         raise ValueError("degree must be nonnegative")
     if n_samples < 1:
         raise ValueError("sample count N must be positive")
     n = float(n_samples)
-    if m_degree == 0:
-        return GramSystem(np.array([[n + 1.0]]), correction_terms=np.zeros((1, 1)))
-
-    idx = np.arange(m_degree + 1, dtype=float)
-    t = idx[:, None] + idx[None, :]
-    d = idx[:, None] - idx[None, :]
-    odd = (t.astype(int) % 2) == 1
-    with np.errstate(divide="ignore"):
-        analytic = n / (2.0 * (1.0 - t * t)) + n / (2.0 * (1.0 - d * d)) + 1.0
-    err = trapezium_error_matrix(m_degree, n_samples)
-    g = analytic + 0.5 * n * err
-    g[odd] = 0.0
-    return GramSystem(g, correction_terms=err)
+    k_sq = (2.0 * np.arange(m_degree + 1)) ** 2
+    corrections = np.zeros(m_degree + 1)
+    product = k_sq / (0.5 * n)  # the l = 0 factor
+    done = 1
+    for s, weight in _EXACT_WEIGHTS.items():
+        for l in range(done, s):
+            product = product * ((k_sq - l * l) / (n * (l + 0.5)))
+        done = s
+        corrections += weight * product
+    return _gram_from_half_sums(_integral_half_sums(m_degree, n_samples) + corrections)
 
 
 def _parity_sums(z: np.ndarray, even_w: np.ndarray, odd_w: np.ndarray,
@@ -200,7 +160,7 @@ def _proxy_sums(nu: np.ndarray, first: int, width: int, n: int, tau: np.ndarray,
     K proxies sit at c_p + (w/N) tau, c_p = (2pw + w - 1)/N - 1, with the
     even and odd weights nu[0, p - first] and nu[1, p - first]."""
     p = first + np.arange(nu.shape[1])
-    z = (2.0 * width * p + (width - 1))[:, None] / n - 1.0 + (width / n) * tau
+    z = ((2.0 * width * p + (width - 1))[:, None] + width * tau) / n - 1.0
     return _parity_sums(z.reshape(-1), nu[0].reshape(-1), nu[1].reshape(-1),
                         m_degree)
 
@@ -249,12 +209,20 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     halved by the symmetry t_{w-1-i} = -t_i. The cost is about NK/2
     multiply-adds there, P K^2 for nu and P K M for the recurrence over the
     PK proxies of P panels. The last panel is zero-padded and, because of
-    the fold, stays inside [-1, 1]; the first panel's outermost proxy may
-    lie up to 1/N below -1. The proxies sit at the grid's positions 2k/N - 1.
+    the fold, stays inside [-1, 1]. The proxies sit at the grid's positions
+    2k/N - 1, each formed as ((2pw + w - 1) + w tau_k)/N - 1 (w tau_k is
+    exact) rather than as the sum of the rounded c_p and (w/N) tau_k.
+
+    The first panel, at x = -1, is not compressed: its points go through the
+    recurrence themselves. There T_M' reaches M^2, so the half ulp by which a
+    grid point differs from 2k/N - 1, where a panel's polynomial is exact,
+    and the rounding of a proxy cost up to M^2 times their size; compressed,
+    that panel put b 1.04e-14 sum|y| from the long-double recurrence for
+    y = +-1 only at |x| > 0.99 (M = 127, N = 83606), against 4.0e-15 now.
 
     Compression runs when half >= w and w >= 4K, so that it pays, and when
-    M <= sqrt(N)/2, so that |T_M| <= cosh(M sqrt(2/N)) <= 1.26 at every
-    proxy and each panel is short on the scale of T_M's oscillation. Past
+    M <= sqrt(N)/2, so that each panel is short on the scale of T_M's
+    oscillation. Past
     that boundary a panel's local polynomial uses its full degree near
     t = +-1, where T_l(t) is most sensitive to rounding, and the panels lost
     up to 100 times more digits than the plain recurrence (M = 127,
@@ -306,6 +274,10 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
         p = -(-count // w)
         s[count:p * w] = 0.0
         d[count:p * w] = 0.0
+        if lo == 0:  # the first panel, at x = -1, is not compressed
+            b += _parity_sums(x[:w], s[:w], d[:w], m_degree)
+            s[:w] = 0.0
+            d[:w] = 0.0
         if filled + p > batch:
             b += _proxy_sums(nu[:, :filled], first, w, n, tau, m_degree)
             first, filled = first + filled, 0

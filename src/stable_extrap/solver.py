@@ -141,7 +141,7 @@ def _equispaced_gram(m_degree: int, n: int, basis: Basis) -> np.ndarray:
     """fit's normal-equation matrix: the Chebyshev Gram G, or S^T G S for a
     Legendre fit (V_leg = V_cheb S). numpy's einsum loops, not BLAS, form the
     products, so the bits do not depend on the BLAS thread count."""
-    g = gram_fast(m_degree, n).matrix
+    g = gram_fast(m_degree, n)
     if basis == Basis.LEGENDRE:
         s = basis_change_matrix(m_degree).entries
         sgs = np.einsum("ki,kj->ij", s, np.einsum("kl,lj->kj", g, s))

@@ -28,7 +28,6 @@ from .basis import Basis, Grid, _recurrence
 
 __all__ = [
     "Basis",
-    "DesignMatrix",
     "SpectralReport",
     "design_matrix",
     "gram_naive",
@@ -46,23 +45,15 @@ _MAX_POWER_STEPS = 100_000
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Dense (N+1) x (M+1) matrix of basis polynomials at grid points."""
-
-    entries: np.ndarray
-    basis: Basis
-    grid: Grid
-
-
-@dataclass(frozen=True)
 class SpectralReport:
     sigma_max: float
     sigma_min: float
     cond2: float
 
 
-def design_matrix(grid: Grid, degree: int, basis: Basis) -> DesignMatrix:
-    """Fill the design matrix column by column with the three-term recurrence.
+def design_matrix(grid: Grid, degree: int, basis: Basis) -> np.ndarray:
+    """The dense (N+1) x (M+1) matrix of the basis polynomials at the grid
+    points, filled column by column with the three-term recurrence.
 
     The guard degree <= 10 * sqrt(grid size) rejects degrees for which the
     columns are so far from independence that the result is useless.
@@ -79,10 +70,10 @@ def design_matrix(grid: Grid, degree: int, basis: Basis) -> DesignMatrix:
     v = np.empty((grid.points.size, degree + 1))
     for k, column in enumerate(_recurrence(basis, grid.points, degree)):
         v[:, k] = column
-    return DesignMatrix(v, basis, grid)
+    return v
 
 
-def gram_naive(v: DesignMatrix) -> np.ndarray:
+def gram_naive(v: np.ndarray) -> np.ndarray:
     """Exact normal-equation matrix V^T V, one pairwise-summed dot per entry.
 
     Each entry is reduced with numpy's pairwise summation over a contiguous
@@ -90,13 +81,12 @@ def gram_naive(v: DesignMatrix) -> np.ndarray:
     N ~ 1e6. The upper triangle is computed and mirrored, so the result is
     symmetric to the bit.
     """
-    e = v.entries
-    cols = e.shape[1]
+    cols = v.shape[1]
     g = np.empty((cols, cols))
     for m in range(cols):
-        col_m = e[:, m]
+        col_m = v[:, m]
         for n in range(m, cols):
-            s = float(np.sum(col_m * e[:, n]))
+            s = float(np.sum(col_m * v[:, n]))
             g[m, n] = s
             g[n, m] = s
     return g

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Basis, GridKind, make_grid
+from .fastgram import _gram_from_half_sums, _integral_half_sums
 from .solver import basis_change_matrix
 from .vandermonde import (
     design_matrix,
@@ -101,20 +102,13 @@ def dc_matrix(m_degree: int, n_samples: int) -> np.ndarray:
 
 
 def fc_matrix(m_degree: int, n_samples: int) -> np.ndarray:
-    """Analytic Chebyshev product integrals (times N/2) plus the parity matrix.
+    """Analytic Chebyshev product integrals (times N/2) plus the parity matrix:
+    the fast Gram without its Bernoulli corrections, assembled the same way.
 
-    Odd m+n entries are zero: the integrand is odd, and the would-be singular
-    1/(1-(m-n)^2) factors occur only at odd parity, so the parity split keeps
-    every stored entry finite.
+    Entry (m, n) is N/(2(1-(m+n)^2)) + N/(2(1-(m-n)^2)) + 1 for m+n even and
+    0 for m+n odd, where the integrand is odd.
     """
-    idx = np.arange(m_degree + 1, dtype=float)
-    t = idx[:, None] + idx[None, :]
-    d = idx[:, None] - idx[None, :]
-    odd = (t.astype(int) % 2) == 1
-    with np.errstate(divide="ignore"):
-        f = 0.5 * n_samples * (1.0 / (1.0 - t * t) + 1.0 / (1.0 - d * d))
-    f[odd] = 0.0
-    return f + parity_matrix(m_degree)
+    return _gram_from_half_sums(_integral_half_sums(m_degree, n_samples))
 
 
 def _design_spectrum(m_degree: int, n_samples: int, basis: Basis) -> np.ndarray:
@@ -133,6 +127,14 @@ def _spectrum(m_degree: int, n_samples: int, basis: Basis,
         spectra[key] = _design_spectrum(m_degree, n_samples, basis)
         spectra[key].setflags(write=False)  # shared by the checks that read it
     return spectra[key]
+
+
+def _require_gerschgorin_sizes(m_degree: int, n_samples: int) -> None:
+    """D+C and F+C need 1 <= N, as make_grid does, and M <= N."""
+    if n_samples < 1:
+        raise ValueError(f"check requires N >= 1 (got N={n_samples})")
+    if m_degree > n_samples:
+        raise ValueError("requires M <= N")
 
 
 def _require_half_sqrt(m_degree: int, n_samples: int) -> None:
@@ -211,8 +213,7 @@ def check_cheb_gram_condition(m_degree: int, n_samples: int, *,
 def check_dplusc(m_degree: int, n_samples: int) -> tuple[CheckResult, ...]:
     """Eigenvalue envelope of D+C: lambda_max <= (2N+M+3)/2 and
     lambda_min >= (N - M^2/2)/(2M+1)."""
-    if m_degree > n_samples:
-        raise ValueError("requires M <= N")
+    _require_gerschgorin_sizes(m_degree, n_samples)
     lam = np.linalg.eigvalsh(dc_matrix(m_degree, n_samples))
     params = {"M": m_degree, "N": n_samples}
     return (
@@ -226,8 +227,7 @@ def check_dplusc(m_degree: int, n_samples: int) -> tuple[CheckResult, ...]:
 
 def check_fplusc(m_degree: int, n_samples: int) -> tuple[CheckResult, ...]:
     """Eigenvalue cap of F+C: lambda_max <= (4N+M+1)/2."""
-    if m_degree > n_samples:
-        raise ValueError("requires M <= N")
+    _require_gerschgorin_sizes(m_degree, n_samples)
     lam = np.linalg.eigvalsh(fc_matrix(m_degree, n_samples))
     return (_result("fplusc-lambda-max", {"M": m_degree, "N": n_samples},
                     float(lam[-1]), 0.5 * (4 * n_samples + m_degree + 1)),)
@@ -295,9 +295,11 @@ def check_interpolation_sandwich(n_samples: int) -> tuple[CheckResult, ...]:
     )
 
 
-def _suite_singular_values(spectra, n_list=(64, 256, 1024, 4096)):
+# Each suite takes run_suite's spectra memo and, as keywords named after the
+# overrides it honours (_OVERRIDES), tuples of sizes whose defaults it holds.
+def _suite_singular_values(spectra, N=(64, 256, 1024, 4096)):
     out = []
-    for n in n_list:
+    for n in N:
         m = int(math.floor(0.5 * math.sqrt(n)))
         out += list(check_legendre_singular_bounds(m, n, spectra=spectra))
         out += list(check_cheb_singular_bounds(m, n, spectra=spectra))
@@ -312,24 +314,21 @@ def _suite_conditioning(spectra, pairs=((5, 100), (10, 400), (16, 1024), (25, 25
     return out
 
 
-def _suite_gerschgorin(m_degree=30, n_samples=3600):
-    return list(check_dplusc(m_degree, n_samples)) + list(check_fplusc(m_degree, n_samples))
+def _suite_gerschgorin(spectra, M=(30,), N=(3600,)):
+    return [c for m in M for n in N for c in check_dplusc(m, n) + check_fplusc(m, n)]
 
 
-def _suite_s_norm(m_list=(10, 100, 1000)):
-    out = []
-    for m in m_list:
-        out += list(check_s_norm(m))
-    return out
+def _suite_s_norm(spectra, M=(10, 100, 1000)):
+    return [c for m in M for c in check_s_norm(m)]
 
 
-def _suite_sandwich(n_list=(4, 8, 12, 16, 20)):
-    out = []
-    for n in n_list:
-        out += list(check_interpolation_sandwich(n))
-    return out
+def _suite_sandwich(spectra, N=(4, 8, 12, 16, 20)):
+    return [c for n in N for c in check_interpolation_sandwich(n)]
 
 
+_SUITES = {"singular-values": _suite_singular_values, "conditioning": _suite_conditioning,
+           "gerschgorin": _suite_gerschgorin, "s-norm": _suite_s_norm,
+           "sandwich": _suite_sandwich}
 _OVERRIDES = {"singular-values": ("N",), "conditioning": (), "gerschgorin": ("M", "N"),
               "s-norm": ("M",), "sandwich": ("N",), "all": ()}
 SUITE_NAMES = tuple(_OVERRIDES)
@@ -347,25 +346,14 @@ def run_suite(name: str, m_degree: int | None = None,
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES[:-1])}, all")
-    for flag, value in (("M", m_degree), ("N", n_samples)):
-        if value is not None and flag not in _OVERRIDES[name]:
+    sizes = {flag: (value,) for flag, value in (("M", m_degree), ("N", n_samples))
+             if value is not None}
+    for flag, (value,) in sizes.items():
+        if flag not in _OVERRIDES[name]:
             raise ValueError(f"suite {name!r} takes no {flag} override")
-        if value is not None and value < 0:
+        if value < 0:
             raise ValueError(f"{flag} override must be nonnegative, got {value}")
     spectra: dict = {}
-    if name == "singular-values":
-        results = _suite_singular_values(
-            spectra, (n_samples,) if n_samples is not None else (64, 256, 1024, 4096))
-    elif name == "conditioning":
-        results = _suite_conditioning(spectra)
-    elif name == "gerschgorin":
-        results = _suite_gerschgorin(30 if m_degree is None else m_degree,
-                                     3600 if n_samples is None else n_samples)
-    elif name == "s-norm":
-        results = _suite_s_norm((m_degree,) if m_degree is not None else (10, 100, 1000))
-    elif name == "sandwich":
-        results = _suite_sandwich((n_samples,) if n_samples is not None else (4, 8, 12, 16, 20))
-    else:
-        results = (_suite_singular_values(spectra) + _suite_conditioning(spectra)
-                   + _suite_gerschgorin() + _suite_s_norm() + _suite_sandwich())
+    suites = _SUITES.values() if name == "all" else (_SUITES[name],)
+    results = [c for suite in suites for c in suite(spectra, **sizes)]
     return sorted(results, key=lambda c: (c.name, sorted(c.params.items())))

@@ -50,7 +50,7 @@ def dense_fit():
     def solve(samples, m_degree, basis=Basis.CHEBYSHEV) -> DenseFit:
         v = design_matrix(samples.grid, m_degree, basis)
         g = gram_naive(v)
-        b = np.array([float(np.sum(v.entries[:, k] * samples.values))
+        b = np.array([float(np.sum(v[:, k] * samples.values))
                       for k in range(m_degree + 1)])
         low = np.linalg.cholesky(g)
         coeffs = np.linalg.solve(low.T, np.linalg.solve(low, b))

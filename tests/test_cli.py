@@ -250,6 +250,13 @@ class TestFitCommand:
         recomputed = float(np.linalg.norm(ys - ChebyshevSeries(coeffs)(grid.points)))
         assert recomputed == pytest.approx(doc["residual"], abs=1e-12)
 
+    def test_auto_bad_parameter_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "f.csv"
+        write_samples(csv_path, 64, np.cos)
+        assert main(["fit", "--input", str(csv_path), "--auto",
+                     "--rho", "inf", "--eps", "1e-10", "--Q", "1.5"]) == 2
+        assert "rho must be finite, got inf" in capsys.readouterr().err
+
     def test_auto_degree_scenario(self, tmp_path):
         csv_path = tmp_path / "f.csv"
         out_path = tmp_path / "fit.json"
@@ -370,6 +377,18 @@ class TestExtrapolateCommand:
         assert code == 2
         assert "x=1.25 is outside the reachable interval [1, 1.25)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--rho", "--eps", "--Q"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flag, value):
+        csv_path = tmp_path / "f.csv"
+        write_samples(csv_path, 64, np.cos)
+        args = {"--rho": "2", "--eps": "1e-10", "--Q": "1.5"}
+        args[flag] = value
+        code = main(["extrapolate", "--input", str(csv_path),
+                     *(tok for item in args.items() for tok in item), "--at", "1.1"])
+        assert code == 2
+        assert f"{flag[2:]} must be finite, got {value}" in capsys.readouterr().err
+
     def test_double_precision_scenario_m_star(self, tmp_path):
         csv_path = tmp_path / "f.csv"
         out_path = tmp_path / "ext.json"
@@ -417,6 +436,7 @@ class TestVerifyCommand:
         ("sandwich", ["--N", "-1"], "N override must be nonnegative, got -1"),
         ("singular-values", ["--N", "0"], "needs n >= 1"),
         ("gerschgorin", ["--M", "31", "--N", "30"], "requires M <= N"),
+        ("gerschgorin", ["--M", "0", "--N", "0"], "requires N >= 1"),
     ])
     def test_override_a_suite_cannot_run_exits_2(self, capsys, suite, overrides, message):
         assert main(["verify", "--suite", suite, *overrides]) == 2

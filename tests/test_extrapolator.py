@@ -202,7 +202,7 @@ class TestExtrapolate:
         params = ProblemParams(n, 1.2, 1e-10, 2.0)
         report = extrapolate(equispaced_samples(fn, n), params, [1.01])
         assert calls == [(report.m_star, n)]
-        expected = spectral_report(gram_fast(report.m_star, n).matrix).sigma_min
+        expected = spectral_report(gram_fast(report.m_star, n)).sigma_min
         assert np.float64(report.sigma_min).tobytes() == np.float64(expected).tobytes()
         assert report.sigma_min == report.fit_result.sigma_min
         assert not report.fit_result.gram.flags.writeable

@@ -19,8 +19,8 @@ from stable_extrap import (
     gram_naive,
     make_grid,
     rhs,
-    trapezium_error_matrix,
 )
+from stable_extrap.verify import fc_matrix
 
 
 def bernoulli_numbers(count):
@@ -76,78 +76,87 @@ class TestBernoulliWeights:
         assert w[9] == pytest.approx(1 / 47900160)
 
 
+def exact_trapezium_sums(k_max, n):
+    """Oracle: sigma_k = sum_i T_k(2i/N - 1) for k = 0..k_max, exactly in
+    rationals. With a = 2i - N, U_k = N^k T_k(a/N) is an integer by
+    U_{k+1} = 2a U_k - N^2 U_{k-1}, so sigma_k = sum_i U_k / N^k."""
+    a = [2 * i - n for i in range(n + 1)]
+    prev, cur = [1] * (n + 1), list(a)
+    sums = [Fraction(n + 1), Fraction(sum(cur), n)]
+    for k in range(2, k_max + 1):
+        prev, cur = cur, [2 * ai * u - n * n * p for ai, u, p in zip(a, cur, prev)]
+        sums.append(Fraction(sum(cur), n ** k))
+    return sums[:k_max + 1]
+
+
 class TestTrapeziumErrorMatrix:
+    """The Bernoulli corrections of the trapezium-rule identity, seen
+    through gram_fast: G - (F + C) is N/2 times the correction matrix."""
+
     def test_corner_is_zero(self):
-        assert trapezium_error_matrix(1, 100)[0, 0] == 0.0
+        assert gram_fast(1, 100)[0, 0] == fc_matrix(1, 100)[0, 0] == 101.0
 
     def test_odd_parity_zero(self):
-        e = trapezium_error_matrix(3, 100)
-        assert e[1, 0] == 0.0 and e[0, 1] == 0.0 and e[2, 1] == 0.0
+        g = gram_fast(3, 100)
+        assert g[1, 0] == 0.0 and g[0, 1] == 0.0 and g[2, 1] == 0.0
 
     def test_hand_expanded_entry(self):
-        # (m, n) = (1, 1), N = 100: single s=1 term with products 0 and
-        # 4/(100*1/2), weighted by 1/12.
-        e = trapezium_error_matrix(1, 100)
-        assert e[1, 1] == pytest.approx((2 / 100) * 0.08 * (1 / 12), rel=1e-15)
+        # (m, n) = (1, 1), N = 100: h_1 + h_0, where h_1 has the single
+        # s = 1 correction 4/(100*1/2) * 1/12 and h_0 = N/2 + 1/2.
+        expected = (100 / (2 * (1 - 4)) + 0.5 + 0.08 / 12) + (50 + 0.5)
+        assert gram_fast(1, 100)[1, 1] == pytest.approx(expected, rel=1e-15)
 
     def test_agrees_with_direct_sum_minus_integral(self):
-        # Oracle: E_{mn} = (2/N) sum T_m T_n - endpoint term - exact integral.
-        m_deg, n = 4, 400
-        grid = make_grid(GridKind.EQUISPACED, n)
-        v = design_matrix(grid, m_deg, Basis.CHEBYSHEV)
-        e = trapezium_error_matrix(m_deg, n)
-        for m in range(m_deg + 1):
-            for k in range(m, m_deg + 1):
-                if (m + k) % 2 == 1:
-                    continue
-                s = float(np.sum(v.entries[:, m] * v.entries[:, k]))
-                integral = 0.5 * n * (1.0 / (1.0 - (m + k) ** 2)
-                                      + 1.0 / (1.0 - (m - k) ** 2))
-                expected = (s - integral - 1.0) * 2.0 / n
-                assert e[m, k] == pytest.approx(expected, abs=1e-14)
-
-    def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
-            trapezium_error_matrix(0, 100)
+        # Oracle: G_mn = (sigma_{m+n} + sigma_{|m-n|})/2 with the trapezium
+        # sums exact, at the boundary N = 4M^2 and one past it.
+        for m_deg in range(13):
+            for n in {max(4 * m_deg * m_deg, 1), 4 * m_deg * m_deg + 1}:
+                sigma = exact_trapezium_sums(2 * m_deg, n)
+                assert all(sigma[k] == 0 for k in range(1, 2 * m_deg + 1, 2))
+                exact = np.array([[float((sigma[m + k] + sigma[abs(m - k)]) / 2)
+                                   for k in range(m_deg + 1)]
+                                  for m in range(m_deg + 1)])
+                err = np.max(np.abs(gram_fast(m_deg, n) - exact))
+                assert err <= 1e-15 * n, (m_deg, n, err / n)
 
     def test_undersampled_is_flagged_not_warned(self):
         # N < 4M^2 is the condition fit refuses (M > sqrt(N)/2); the Gram
         # itself neither warns nor raises.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trapezium_error_matrix(10, 100)
             gram_fast(10, 100)
 
     def test_exactly_symmetric(self):
-        e = trapezium_error_matrix(9, 400)
-        assert np.array_equal(e, e.T)
+        for m_deg, n in ((9, 400), (0, 1), (1, 1), (125, 62500)):
+            g = gram_fast(m_deg, n)
+            assert np.array_equal(g, g.T)
 
     def test_truncation_robustness(self, monkeypatch):
         # Extending the table with the exact s = 11..19 weights changes
         # nothing measurable while M <= sqrt(N)/2.
         cases = ((5, 100), (20, 1600), (40, 6400))
-        e9 = [trapezium_error_matrix(m_deg, n) for m_deg, n in cases]
+        g9 = [gram_fast(m_deg, n) for m_deg, n in cases]
         monkeypatch.setattr(fastgram, "_EXACT_WEIGHTS", exact_weights(19))
-        for (m_deg, n), short in zip(cases, e9):
-            e19 = trapezium_error_matrix(m_deg, n)
-            assert np.max(np.abs(short - e19)) * 0.5 * n <= 1e-12 * n
+        for (m_deg, n), short in zip(cases, g9):
+            g19 = gram_fast(m_deg, n)
+            assert np.max(np.abs(short - g19)) <= 1e-12 * n
 
 
 class TestGramFast:
     def test_corner_entry(self):
         for n in (1, 5, 1000):
-            assert gram_fast(0, n).matrix[0, 0] == n + 1
-            assert gram_fast(3, n).matrix[0, 0] == n + 1
+            assert gram_fast(0, n)[0, 0] == n + 1
+            assert gram_fast(3, n)[0, 0] == n + 1
 
     def test_odd_entries_exactly_zero(self):
-        g = gram_fast(9, 400).matrix
+        g = gram_fast(9, 400)
         idx = np.arange(10)
         odd = (idx[:, None] + idx[None, :]) % 2 == 1
         assert np.all(g[odd] == 0.0)
         assert np.count_nonzero(g) == np.count_nonzero(~odd)
 
     def test_exactly_symmetric(self):
-        g = gram_fast(12, 700).matrix
+        g = gram_fast(12, 700)
         assert np.array_equal(g, g.T)
 
     def test_sum_of_squares_entry_exact(self):
@@ -156,7 +165,7 @@ class TestGramFast:
         for n in (2, 4, 10):
             grid = make_grid(GridKind.EQUISPACED, n)
             direct = float(np.sum(grid.points ** 2))
-            assert gram_fast(1, n).matrix[1, 1] == pytest.approx(direct, rel=1e-15)
+            assert gram_fast(1, n)[1, 1] == pytest.approx(direct, rel=1e-15)
 
     @pytest.mark.parametrize("m_deg", [5, 10, 20, 40, 80])
     @pytest.mark.parametrize("factor", [4, 16, 64])
@@ -164,13 +173,8 @@ class TestGramFast:
         n = factor * m_deg * m_deg
         grid = make_grid(GridKind.EQUISPACED, n)
         naive = gram_naive(design_matrix(grid, m_deg, Basis.CHEBYSHEV))
-        fast = gram_fast(m_deg, n).matrix
+        fast = gram_fast(m_deg, n)
         assert np.max(np.abs(fast - naive)) <= 1e-10 * n
-
-    def test_correction_terms_retained(self):
-        system = gram_fast(4, 64)
-        assert system.correction_terms is not None
-        assert system.correction_terms.shape == (5, 5)
 
 
 class TestRhs:
@@ -190,7 +194,7 @@ class TestRhs:
             y = np.random.default_rng(5).normal(size=n + 1)
             for m_deg in sorted({0, 1, 2, min(n, 20), min(n, 40)}):
                 v = design_matrix(grid, m_deg, Basis.CHEBYSHEV)
-                dense = v.entries.T @ y
+                dense = v.T @ y
                 for chunk in fold_chunks(n):
                     np.testing.assert_allclose(
                         rhs_in_chunks(monkeypatch, grid, y, m_deg, chunk), dense, rtol=1e-11,

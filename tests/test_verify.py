@@ -132,6 +132,16 @@ class TestAppendixChecks:
         for m, n in ((5, 100), (30, 3600)):
             assert all(x.passed for x in check_fplusc(m, n))
 
+    @pytest.mark.parametrize("check", [check_dplusc, check_fplusc])
+    def test_no_samples_rejected(self, check):
+        # N = 0 has no grid; F+C's 1x1 matrix would report N+1 = 1 > 1/2.
+        with pytest.raises(ValueError, match="N >= 1"):
+            check(0, 0)
+
+    @pytest.mark.parametrize("check", [check_dplusc, check_fplusc])
+    def test_smallest_sizes_pass(self, check):
+        assert all(r.passed for r in check(0, 1))
+
     def test_s_norm_chain(self):
         for m in (10, 100):
             norm5, chain, range5 = check_s_norm(m)
