@@ -35,7 +35,6 @@ from .fastgram import (
     rhs,
 )
 from .solver import (
-    BasisChangeMatrix,
     FitResult,
     SolverError,
     basis_change_matrix,
@@ -59,14 +58,12 @@ from .extrapolator import (
 )
 from .verify import (
     CheckResult,
-    check_cheb_gram_condition,
-    check_cheb_singular_bounds,
     check_dplusc,
     check_fplusc,
+    check_gram_condition,
     check_interpolation_sandwich,
-    check_legendre_gram_condition,
-    check_legendre_singular_bounds,
     check_s_norm,
+    check_singular_bounds,
     gerschgorin_interval,
     run_suite,
 )

@@ -21,6 +21,7 @@ from .basis import Basis, GridKind, SampleSet, clenshaw_eval, make_grid
 from .fastgram import gram_fast, rhs
 from .solver import fit
 from .vandermonde import design_matrix, gram_naive
+from .verify import _design_spectrum, _legendre_envelope
 
 __all__ = [
     "NoiseKind",
@@ -183,7 +184,8 @@ def run_alpha_profile(rho: float, eps: float, x_count: int) -> Table:
 
 def run_singular_bounds_sweep(n_list) -> Table:
     """Measured extreme squared singular values of the equispaced Legendre
-    design matrix at M = floor(sqrt(N)/2), next to their bound curves.
+    design matrix at M = floor(sqrt(N)/2), next to the tight envelope that
+    check_singular_bounds certifies them against.
 
     The floor makes the bounds jump at each perfect square N.
     """
@@ -191,15 +193,14 @@ def run_singular_bounds_sweep(n_list) -> Table:
             "sigma_min_sq": [], "lower_bound": []}
     for n in n_list:
         m = int(math.floor(0.5 * math.sqrt(n)))
-        grid = make_grid(GridKind.EQUISPACED, n)
-        lam = np.linalg.eigvalsh(gram_naive(design_matrix(grid, m, Basis.LEGENDRE)))
-        corr = 27.0 * math.sqrt(n) / (32.0 * math.pi)
+        lam = _design_spectrum(m, n, Basis.LEGENDRE)
+        upper, lower = _legendre_envelope(m, n)
         cols["N"].append(int(n))
         cols["M"].append(m)
         cols["sigma_max_sq"].append(float(lam[-1]))
-        cols["upper_bound"].append(0.5 * (2 * n + m + 3) + corr)
+        cols["upper_bound"].append(upper)
         cols["sigma_min_sq"].append(float(lam[0]))
-        cols["lower_bound"].append((n - 0.5 * m * m) / (2 * m + 1) - corr)
+        cols["lower_bound"].append(lower)
     return Table("singular-bounds-sweep", cols)
 
 

@@ -18,7 +18,6 @@ from .fastgram import gram_fast, rhs
 from .vandermonde import (
     design_matrix,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
     dominant_eigenvalue,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
-    dominant_singular_value,
     gram_naive,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
     jacobi_eigenvalues,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
     spectral_report,
@@ -27,7 +26,6 @@ from .vandermonde import (
 __all__ = [
     "SolverError",
     "FitResult",
-    "BasisChangeMatrix",
     "psi",
     "psi_table",
     "basis_change_matrix",
@@ -61,40 +59,6 @@ class FitResult:
         return g
 
 
-@dataclass(frozen=True)
-class BasisChangeMatrix:
-    """Upper-triangular map from Legendre to Chebyshev coefficients.
-
-    Entries are nonnegative, zero below the diagonal and on odd-parity
-    positions (i + j odd), with a unit (0, 0) corner; the 2-norm stays below
-    5 for every size. The parity zeros make S, S^T S and (S + S^T)/2
-    block-diagonal over the even and the odd indices, so each extreme
-    eigenvalue is the larger of the two blocks' values.
-    """
-
-    entries: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return self.entries.shape[0] - 1
-
-    def parity_blocks(self) -> tuple[np.ndarray, ...]:
-        """The nonempty even-index and odd-index blocks, as contiguous copies.
-
-        Raises ValueError if an odd-parity entry is nonzero, because the
-        blocks would then not carry the whole matrix.
-        """
-        s = self.entries
-        if np.any(s[0::2, 1::2]) or np.any(s[1::2, 0::2]):
-            raise ValueError("basis-change matrix has a nonzero odd-parity entry")
-        return tuple(np.ascontiguousarray(s[p::2, p::2])
-                     for p in (0, 1) if s.shape[0] > p)
-
-    def norm2(self) -> float:
-        """||S||_2, the larger of the parity blocks' top singular values."""
-        return max(dominant_singular_value(b) for b in self.parity_blocks())
-
-
 def psi(i: int) -> float:
     """Ratio Gamma(i + 1/2)/Gamma(i + 1), entry i of psi_table."""
     if i < 0:
@@ -116,8 +80,9 @@ def psi_table(n: int) -> np.ndarray:
     return out
 
 
-def basis_change_matrix(m_degree: int) -> BasisChangeMatrix:
-    """Matrix S with c_cheb = S c_leg for degree-M coefficient vectors."""
+def basis_change_matrix(m_degree: int) -> np.ndarray:
+    """Matrix S with c_cheb = S c_leg for degree-M coefficient vectors: upper
+    triangular, nonnegative, zero where i + j is odd, and ||S||_2 < 5."""
     if m_degree < 0:
         raise ValueError("degree must be nonnegative")
     table = psi_table(m_degree + 1)
@@ -128,13 +93,13 @@ def basis_change_matrix(m_degree: int) -> BasisChangeMatrix:
         # Row i holds S[i, i + 2h] = (2/pi) psi(h) psi(i + h).
         h = np.arange((m_degree - i) // 2 + 1)
         s[i, i::2] = 2.0 / math.pi * table[h] * table[h + i]
-    return BasisChangeMatrix(s)
+    return s
 
 
 def legendre_to_chebyshev(series: LegendreSeries) -> ChebyshevSeries:
     """Convert a Legendre series to the Chebyshev series of the same polynomial."""
     s = basis_change_matrix(series.degree)
-    return ChebyshevSeries(s.entries @ series.coeffs)
+    return ChebyshevSeries(s @ series.coeffs)
 
 
 def _equispaced_gram(m_degree: int, n: int, basis: Basis) -> np.ndarray:
@@ -143,7 +108,7 @@ def _equispaced_gram(m_degree: int, n: int, basis: Basis) -> np.ndarray:
     products, so the bits do not depend on the BLAS thread count."""
     g = gram_fast(m_degree, n)
     if basis == Basis.LEGENDRE:
-        s = basis_change_matrix(m_degree).entries
+        s = basis_change_matrix(m_degree)
         sgs = np.einsum("ki,kj->ij", s, np.einsum("kl,lj->kj", g, s))
         g = 0.5 * (sgs + sgs.T)
     return g
@@ -178,7 +143,7 @@ def fit(samples: SampleSet, m_degree: int,
     g = _equispaced_gram(m_degree, n, basis)
     b = rhs(samples.grid, samples.values, m_degree)
     if basis == Basis.LEGENDRE:
-        b = np.einsum("ki,k->i", basis_change_matrix(m_degree).entries, b)
+        b = np.einsum("ki,k->i", basis_change_matrix(m_degree), b)
     coeffs = _cholesky_solve(g, b)
 
     resid = float(np.linalg.norm(g @ coeffs - b))

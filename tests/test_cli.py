@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stable_extrap
-from stable_extrap import GridKind, cheb_eval, make_grid
+from stable_extrap import CheckResult, GridKind, cheb_eval, make_grid, verify
 from stable_extrap.cli import CliError, json_dumps, main, read_samples_csv
 
 RHO_SILVER = 1.0 + math.sqrt(2.0)
@@ -454,12 +454,38 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "bogus"]) == 2
         assert "unknown suite" in capsys.readouterr().err
 
-    def test_failing_suite_exits_1(self, tmp_path):
+    def test_known_false_statement_fails_but_exits_0(self, tmp_path):
         # The sandwich suite contains the as-stated lower inequality, which
-        # fails in measurement for N >= 8.
+        # fails in measurement for N >= 8. It is reported, but it is known
+        # to be false, so it does not set the exit status.
         out_path = tmp_path / "v.json"
         assert main(["verify", "--suite", "sandwich", "--N", "16",
-                     "--output", str(out_path)]) == 1
+                     "--output", str(out_path)]) == 0
+        by_name = {entry["name"]: entry for entry in json.loads(out_path.read_text())}
+        assert by_name["sandwich-lower"]["passed"] is False
+        assert by_name["sandwich-upper"]["passed"] is True
+
+    def test_all_suite_exits_0(self, tmp_path):
+        out_path = tmp_path / "v.json"
+        assert main(["verify", "--suite", "all", "--output", str(out_path)]) == 0
+        failed = {entry["name"] for entry in json.loads(out_path.read_text())
+                  if not entry["passed"]}
+        assert failed == set(verify.KNOWN_FALSE)
+
+    def test_other_failing_check_exits_1(self, tmp_path, monkeypatch):
+        def failing(m_degree):
+            return (CheckResult("s-norm-le-5", {"M": m_degree}, 6.0, 5.0, False, -1.0),)
+
+        monkeypatch.setattr(verify, "check_s_norm", failing)
+        assert main(["verify", "--suite", "s-norm",
+                     "--output", str(tmp_path / "v.json")]) == 1
+
+    @pytest.mark.parametrize("n, code", [(20, 0), (21, 2), (40, 2)])
+    def test_sandwich_limited_to_n20(self, tmp_path, capsys, n, code):
+        assert main(["verify", "--suite", "sandwich", "--N", str(n),
+                     "--output", str(tmp_path / "v.json")]) == code
+        if code == 2:
+            assert f"requires N <= 20 (got N={n})" in capsys.readouterr().err
 
 
 class TestFigureCommand:
@@ -475,8 +501,9 @@ class TestFigureCommand:
         assert factor == (d2 / "figure1_factor.csv").read_text()
 
     def test_figure4_requires_seed(self, tmp_path, capsys):
-        assert main(["figure", "--figure", "4", "--output", str(tmp_path)]) == 2
+        assert main(["figure", "--figure", "4", "--output", str(tmp_path / "out")]) == 2
         assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_figure4_with_seed(self, tmp_path):
         assert main(["figure", "--figure", "4", "--output", str(tmp_path),
@@ -486,7 +513,8 @@ class TestFigureCommand:
         assert len(lines) == 1 + 2 * 101  # two grids, coefficients 0..100
 
     def test_unknown_figure_exits_2(self, tmp_path):
-        assert main(["figure", "--figure", "9", "--output", str(tmp_path)]) == 2
+        assert main(["figure", "--figure", "9", "--output", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_figure2_csv(self, tmp_path):
         assert main(["figure", "--figure", "2", "--output", str(tmp_path)]) == 0
@@ -500,6 +528,27 @@ class TestFigureCommand:
             lines = (tmp_path / name).read_text().splitlines()
             assert lines[0].startswith("M,N,abs_error_x=1,")
             assert len(lines) == 1 + 40
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["fit", "--M", "3", "--auto", "--rho", "2.4", "--eps", "1e-10", "--Q", "1.5"], "--M"),
+    (["fit", "--M", "3", "--rho", "-5"], "--rho"),
+    (["fit", "--M", "3", "--eps", "1e-10"], "--eps"),
+    (["fit", "--M", "3", "--Q", "1.5"], "--Q"),
+    (["figure", "--figure", "2", "--rho", "3"], "--rho"),
+    (["figure", "--figure", "3", "--eps", "1e-10"], "--eps"),
+    (["figure", "--figure", "1", "--seed", "5"], "--seed"),
+    (["figure", "--figure", "5", "--seed", "5"], "--seed"),
+])
+def test_flag_without_effect_exits_2(tmp_path, capsys, args, flag):
+    """A flag the command would ignore is refused, and nothing is written."""
+    if args[0] == "fit":
+        write_samples(tmp_path / "s.csv", 64, np.cos)
+        args = [*args, "--input", str(tmp_path / "s.csv")]
+    out = tmp_path / "out"
+    assert main([*args, "--output", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestThreads:

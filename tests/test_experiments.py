@@ -8,7 +8,7 @@ from stable_extrap import (
     NoiseModel,
     TEST_FUNCTIONS,
     bernstein_rho_from_pole,
-    check_legendre_singular_bounds,
+    check_singular_bounds,
     plateau_statistic,
     run_alpha_profile,
     run_extrapolation_decay,
@@ -96,12 +96,13 @@ class TestSingularBoundsSweep:
             assert t.columns["sigma_min_sq"][i] >= t.columns["lower_bound"][i]
 
     def test_matches_legendre_singular_bounds_check(self):
-        # The figure sweep and the certification check measure one spectrum.
+        # The figure sweep and the certification check share one spectrum
+        # code and one envelope.
         t = run_singular_bounds_sweep([64, 100, 256])
         for i, n in enumerate((64, 100, 256)):
-            upper, lower = check_legendre_singular_bounds(t.columns["M"][i], n)
-            assert t.columns["sigma_max_sq"][i] == pytest.approx(upper.lhs, rel=1e-13)
-            assert t.columns["sigma_min_sq"][i] == pytest.approx(lower.rhs, rel=1e-13)
+            upper, lower = check_singular_bounds(t.columns["M"][i], n)[:2]
+            assert t.columns["sigma_max_sq"][i] == upper.lhs
+            assert t.columns["sigma_min_sq"][i] == lower.rhs
 
     def test_degree_jumps_at_squares(self):
         t = run_singular_bounds_sweep([99, 100])

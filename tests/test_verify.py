@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from stable_extrap import (
-    check_cheb_gram_condition,
-    check_cheb_singular_bounds,
     check_dplusc,
     check_fplusc,
+    check_gram_condition,
     check_interpolation_sandwich,
-    check_legendre_gram_condition,
-    check_legendre_singular_bounds,
     check_s_norm,
+    check_singular_bounds,
     gerschgorin_interval,
     run_suite,
 )
@@ -83,35 +81,35 @@ class TestStructuredMatrices:
 class TestSingularValueChecks:
     @pytest.mark.parametrize("m,n", [(5, 100), (16, 1024)])
     def test_legendre_bounds_pass(self, m, n):
-        results = check_legendre_singular_bounds(m, n)
+        results = check_singular_bounds(m, n)[:2]
         assert all(r.passed for r in results)
 
     def test_legendre_m0_measures_n_plus_one(self):
-        upper, lower = check_legendre_singular_bounds(0, 64)
+        upper, lower = check_singular_bounds(0, 64)[:2]
         assert upper.lhs == pytest.approx(65.0, rel=1e-12)
         assert upper.passed and lower.passed
         assert "N+1" in upper.note
 
     def test_requires_oversampling(self):
-        with pytest.raises(ValueError, match="sqrt"):
-            check_legendre_singular_bounds(11, 100)
+        for check in (check_singular_bounds, check_gram_condition):
+            with pytest.raises(ValueError, match="sqrt"):
+                check(11, 100)
 
     @pytest.mark.parametrize("m,n", [(5, 100), (10, 400), (25, 2500)])
     def test_chebyshev_bounds_pass(self, m, n):
-        results = check_cheb_singular_bounds(m, n)
+        results = check_singular_bounds(m, n)[2:]
         assert all(r.passed for r in results)
 
     def test_chebyshev_m0(self):
-        results = check_cheb_singular_bounds(0, 64)
+        results = check_singular_bounds(0, 64)[2:]
         assert results[0].lhs == pytest.approx(65.0, rel=1e-12)
         assert results[0].rhs == 3 * 64
         assert all(r.passed for r in results)
 
     @pytest.mark.parametrize("m,n", [(5, 100), (10, 400), (16, 1024), (25, 2500)])
     def test_gram_condition_numbers(self, m, n):
-        (cheb,) = check_cheb_gram_condition(m, n)
+        leg, cheb = check_gram_condition(m, n)
         assert cheb.passed and cheb.rhs == 187.5 * (2 * m + 1)
-        (leg,) = check_legendre_gram_condition(m, n)
         assert leg.passed and leg.rhs == 5.0 * (2 * m + 1)
 
 
@@ -212,10 +210,10 @@ class TestSuites:
         assert all(r.passed for r in results)
         assert all(r.params == {"M": 10, "N": 400} for r in results)
 
-    def test_each_design_spectrum_computed_once_per_call(self, monkeypatch):
-        # run_suite("all") reads 20 design spectra of 14 distinct
-        # (M, N, basis); each is computed once per call, and a second call
-        # computes them all again.
+    def test_no_spectrum_cache_outlives_a_call(self, monkeypatch):
+        # run_suite("all") computes 16 design spectra, one per basis in each
+        # of its eight design-spectrum checks, and a second call computes
+        # them all again.
         calls = []
         compute = verify._design_spectrum
 
@@ -225,18 +223,18 @@ class TestSuites:
 
         monkeypatch.setattr(verify, "_design_spectrum", counting)
         first = run_suite("all")
-        assert len(calls) == len(set(calls)) == 14
+        assert len(calls) == 16
         assert run_suite("all") == first
-        assert len(calls) == 28
+        assert len(calls) == 32
 
     def test_shared_spectra_change_no_result(self):
-        # Each check alone, with no memo, gives the bits run_suite gives.
+        # Each check alone gives the bits run_suite gives.
         alone = []
         for n in (64, 256, 1024, 4096):
             m = int(0.5 * n ** 0.5)
-            alone += check_legendre_singular_bounds(m, n) + check_cheb_singular_bounds(m, n)
+            alone += check_singular_bounds(m, n)
         for m, n in ((5, 100), (10, 400), (16, 1024), (25, 2500)):
-            alone += check_cheb_gram_condition(m, n) + check_legendre_gram_condition(m, n)
+            alone += check_gram_condition(m, n)
         suite = run_suite("singular-values") + run_suite("conditioning")
         key = lambda c: (c.name, sorted(c.params.items()))
         assert sorted(suite, key=key) == sorted(alone, key=key)
@@ -272,8 +270,8 @@ class TestSuites:
             "    h.update(r.name.encode() + repr(sorted(r.params.items())).encode())\n"
             "    h.update(struct.pack('<dd', r.lhs, r.rhs))\n"
             "print(h.hexdigest())\n"
-            "from stable_extrap import basis_change_matrix\n"
-            "norms = [basis_change_matrix(m).norm2() for m in range(150, 1001, 10)]\n"
+            "from stable_extrap import check_s_norm\n"
+            "norms = [check_s_norm(m)[0].lhs for m in range(150, 1001, 10)]\n"
             "print(hashlib.sha1(struct.pack(f'<{len(norms)}d', *norms)).hexdigest())\n"
         )
         outputs = outputs_per_blas_thread_count(script)
