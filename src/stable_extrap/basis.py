@@ -1,4 +1,4 @@
-"""Chebyshev and Legendre polynomial evaluation and standard grids on [-1, 1].
+"""Chebyshev and Legendre polynomial evaluation and the equispaced grid on [-1, 1].
 
 Every basis value comes from one three-term recurrence (_recurrence) in
 64-bit floating point, so a single code path serves both fitting on [-1, 1]
@@ -9,7 +9,6 @@ polynomials). Chebyshev series are summed by Clenshaw's backward recurrence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,11 +35,9 @@ class Basis(str, Enum):
 
 class GridKind(str, Enum):
     EQUISPACED = "equispaced"
-    CHEBYSHEV_FIRST_KIND = "chebyshev-first-kind"
-    ARBITRARY = "arbitrary"
 
 
-# Largest |x_k + x_{N-k}| and |x_k - (2k/N - 1)| of an EQUISPACED grid.
+# Largest |x_k + x_{N-k}| and |x_k - (2k/N - 1)| of a grid.
 SYMMETRY_TOL = 1e-15
 EQUISPACING_TOL = 1e-12
 _CHECK_BLOCK = 16384  # points per block of that check, which allocates O(block)
@@ -75,21 +72,19 @@ def _check_equispaced(x: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Grid:
-    """Ordered abscissae in [-1, 1]; immutable and safe to share. An EQUISPACED
-    grid is checked here to be x_k = 2k/N - 1, so routing on kind is sound."""
+    """The N+1 equispaced points x_k = 2k/N - 1, checked here; immutable and
+    safe to share. For N < 1e12 the check also makes the points strictly
+    increasing. kind has one value and is kept for callers that name it."""
 
     points: np.ndarray
-    kind: GridKind = GridKind.ARBITRARY
+    kind: GridKind = GridKind.EQUISPACED
 
     def __post_init__(self):
         object.__setattr__(self, "points", _freeze(self.points))
-        pts = self.points
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("grid needs a 1-d, non-empty point vector")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        if self.kind == GridKind.EQUISPACED:
-            _check_equispaced(pts)
+        object.__setattr__(self, "kind", GridKind(self.kind))
+        if self.points.ndim != 1:
+            raise ValueError("grid needs a 1-d point vector")
+        _check_equispaced(self.points)
 
     @property
     def n(self) -> int:
@@ -229,22 +224,8 @@ def clenshaw_eval(series, x):
 
 
 def make_grid(kind: GridKind, n: int) -> Grid:
-    """Build the (n+1)-point standard grid of the given kind.
-
-    Equispaced grids are x_k = 2k/n - 1 (endpoints exactly +-1, so n >= 1 is
-    required). Chebyshev first-kind points cos((k+1/2)pi/(n+1)) come out
-    descending and are sorted ascending here.
-    """
-    kind = GridKind(kind)
-    if kind == GridKind.EQUISPACED:
-        if n < 1:
-            raise ValueError("an equispaced grid needs n >= 1")
-        pts = 2.0 * np.arange(n + 1) / n - 1.0
-        return Grid(pts, kind)
-    if kind == GridKind.CHEBYSHEV_FIRST_KIND:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        k = np.arange(n + 1)
-        pts = np.cos((k + 0.5) * math.pi / (n + 1))
-        return Grid(pts[::-1], kind)
-    raise ValueError("make_grid builds equispaced or chebyshev-first-kind grids")
+    """Build the (n+1)-point equispaced grid x_k = 2k/n - 1 (endpoints exactly
+    +-1, so n >= 1 is required)."""
+    if n < 1:
+        raise ValueError("an equispaced grid needs n >= 1")
+    return Grid(2.0 * np.arange(n + 1) / n - 1.0, kind)

@@ -172,7 +172,7 @@ def extrapolate(samples: SampleSet, params: ProblemParams, xs) -> ExtrapolationR
     of the design matrix, and the regime's asymptotic bound factor, which
     omits only constants. Under M <= sqrt(N)/2 the measured sigma_min^2 is at
     least the guaranteed 2N/(125(2M+1)), so the bound is never looser than
-    the one that floor would give. fit refuses a grid not of kind EQUISPACED.
+    the one that floor would give.
     """
     if samples.n != params.n_samples:
         raise ValueError(
@@ -226,8 +226,8 @@ class MinimaxWitness:
 
     with K = floor(log(1/eps)/log(rho)) satisfies |g| <= rho^{-K-1} <= eps on
     [-1, 1] while g(x) >= c_rho * r(x)^K / (1 - r(x)) on the reachable
-    interval, so no extrapolation procedure can beat that growth. Evaluation
-    uses the recurrence for T_K on [-1, 1] and the cosh form beyond 1.
+    interval, so no extrapolation procedure can beat that growth. T_K and
+    T_{K+1} come from cheb_eval's recurrence, which is exact beyond 1 too.
     """
 
     rho: float
@@ -240,13 +240,6 @@ class MinimaxWitness:
         rho = self.rho
         return (1.0 - 1.0 / rho) * (rho - 1.0) / (2.0 * rho * rho)
 
-    def _cheb_pair(self, x: float) -> tuple[float, float]:
-        """(T_K(x), T_{K+1}(x)), by recurrence inside [-1, 1], cosh form outside."""
-        if x > 1.0:
-            u = math.acosh(x)
-            return math.cosh(self.k * u), math.cosh((self.k + 1) * u)
-        return cheb_eval(self.k, x), cheb_eval(self.k + 1, x)
-
     def __call__(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         edge = 0.5 * (self.rho + 1.0 / self.rho)
@@ -255,13 +248,9 @@ class MinimaxWitness:
                 f"witness is defined on [-1, 1] and [1, {edge})"
             )
         rho = self.rho
-        scale = (rho - 1.0) / rho
-        out = np.empty_like(arr)
-        for i, xi in enumerate(arr):
-            t_k, t_k1 = self._cheb_pair(float(xi))
-            numer = rho ** (-self.k - 1) * t_k1 - rho ** (-self.k - 2) * t_k
-            denom = 1.0 - 2.0 * xi / rho + rho ** -2
-            out[i] = scale * numer / denom
+        numer = (rho ** (-self.k - 1) * cheb_eval(self.k + 1, arr)
+                 - rho ** (-self.k - 2) * cheb_eval(self.k, arr))
+        out = (rho - 1.0) / rho * numer / (1.0 - 2.0 * arr / rho + rho ** -2)
         return out if np.ndim(x) else float(out[0])
 
 

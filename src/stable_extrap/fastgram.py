@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import Basis, Grid, GridKind, _recurrence
+from .basis import Basis, Grid, _recurrence
 
 __all__ = [
     "gram_fast",
@@ -186,7 +186,7 @@ def _folded_blocks(y: np.ndarray, s: np.ndarray, d: np.ndarray):
 def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     """Right-hand side T_M(x)^T y over the left half of a mirrored grid.
 
-    The grid must be of kind EQUISPACED, whose points Grid has checked, so
+    Grid has checked the points to be x_k = 2k/N - 1, so
     T_m(x_{N-k}) = (-1)^m T_m(x_k). The samples are folded into
     s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k} for k < N/2; the middle
     point of an even N goes into s only (s = y_{N/2}, d = 0, as T_m(0) = 0
@@ -236,11 +236,9 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     order, never a BLAS kernel, which can split work across threads; the
     bits therefore do not depend on the number of BLAS threads.
 
-    Raises ValueError if the grid's kind is not EQUISPACED, if the sample
-    count differs from the grid's or if M < 0.
+    Raises ValueError if the sample count differs from the grid's or if
+    M < 0.
     """
-    if grid.kind != GridKind.EQUISPACED:
-        raise ValueError(f"rhs needs an equispaced grid, got kind {GridKind(grid.kind).value!r}")
     y = np.asarray(samples, dtype=float)
     x = grid.points
     if y.shape != x.shape:

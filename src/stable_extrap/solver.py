@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, ChebyshevSeries, GridKind, LegendreSeries, SampleSet
+from .basis import Basis, ChebyshevSeries, LegendreSeries, SampleSet
 from .fastgram import gram_fast, rhs
 from .vandermonde import (
     design_matrix,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
@@ -118,9 +118,9 @@ def fit(samples: SampleSet, m_degree: int,
         basis: Basis = Basis.CHEBYSHEV) -> FitResult:
     """Least-squares polynomial fit of degree M to the sample values.
 
-    The grid must be of kind EQUISPACED (x_k = 2k/N - 1) and N >= 4M^2,
-    that is M <= sqrt(N)/2, or ValueError is raised: past that boundary the
-    fast Gram's truncated correction series is no longer accurate (1e-5 N at
+    The grid is x_k = 2k/N - 1, which Grid checks. N >= 4M^2, that is
+    M <= sqrt(N)/2, or ValueError is raised: past that boundary the fast
+    Gram's truncated correction series is no longer accurate (1e-5 N at
     M = 20, N = 100) and the paper's conditioning bound does not hold. The
     Chebyshev Gram G and b take O(M^2 + MN) in either basis: V_leg = V_cheb S
     with S = basis_change_matrix(M), so a Legendre fit solves
@@ -132,9 +132,6 @@ def fit(samples: SampleSet, m_degree: int,
     n = samples.n
     if m_degree < 0:
         raise ValueError("degree must be nonnegative")
-    if samples.grid.kind != GridKind.EQUISPACED:
-        raise ValueError(
-            f"fit needs an equispaced grid, got kind {GridKind(samples.grid.kind).value!r}")
     if n < 4 * m_degree * m_degree:
         raise ValueError(
             f"degree M={m_degree} exceeds sqrt(N)/2={0.5 * math.sqrt(n):.2f} "

@@ -1,4 +1,4 @@
-"""Design matrices on arbitrary grids, naive Gram products, and spectra.
+"""Design matrices on the equispaced grid, naive Gram products, and spectra.
 
 fit never forms the dense Gram; verify and experiments take design spectra
 from it, and the tests keep it as the reference for the fast Gram.
@@ -245,22 +245,17 @@ def spectral_report(g: np.ndarray) -> SpectralReport:
     return SpectralReport(sigma_max, sigma_min, cond2)
 
 
-def lebesgue_constant(grid: Grid, probe_count: int | None = None) -> float:
-    """Probe-based lower bound on the Lebesgue constant of a node set.
+def lebesgue_constant(grid: Grid) -> float:
+    """Probe-based lower bound on the Lebesgue constant of the grid.
 
-    Evaluates sum_j |l_j(x)| over equispaced probes of [-1, 1], with each
-    Lagrange basis polynomial computed by its direct product formula. Dense
-    probing (no derivative-based maximization) slightly undershoots the true
-    supremum, which callers account for.
+    Evaluates sum_j |l_j(x)| at 500(N+1) + 1 equispaced probes of [-1, 1],
+    with each Lagrange basis polynomial computed by its direct product
+    formula. Dense probing (no derivative-based maximization) slightly
+    undershoots the true supremum, which callers account for.
     """
     nodes = grid.points
     n1 = nodes.size
-    if np.unique(nodes).size != n1:
-        raise ValueError("duplicate grid points")
-    if probe_count is None:
-        probe_count = max(10 * n1, 2000) + 1
-    if probe_count < 10 * n1:
-        raise ValueError(f"probe_count must be at least 10*(N+1) = {10 * n1}")
+    probe_count = 500 * n1 + 1
     probes = np.linspace(-1.0, 1.0, probe_count)
     diffs = probes[:, None] - nodes[None, :]
     total = np.zeros(probe_count)

@@ -267,7 +267,7 @@ def check_interpolation_sandwich(n_samples: int) -> tuple[CheckResult, ...]:
     sigma_max = math.sqrt(max(float(eig[-1]), 0.0))
     sigma_min = math.sqrt(max(float(eig[0]), 0.0))
     kappa = sigma_max / sigma_min if sigma_min > 0 else math.inf
-    lam = lebesgue_constant(grid, 500 * (n_samples + 1) + 1)
+    lam = lebesgue_constant(grid)
     return (
         _result("sandwich-lower", params, lam, 1.01 * kappa,
                 "1% probe slack applied"),

@@ -1,8 +1,9 @@
-"""The package's export lists name what exists, and the package re-exports
-only what each module lists."""
+"""The package's export lists name what exists, the package re-exports
+only what each module lists, and the README's quick start runs."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,11 @@ def test_reexports_are_in_their_modules_all():
         mod = importlib.import_module(f"stable_extrap.{module}")
         assert name in getattr(mod, "__all__", ()), f"{module}.{name}"
         assert getattr(stable_extrap, name) is getattr(mod, name)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stable_extrap.extrapolator
 import stable_extrap.solver
 from stable_extrap import (
+    Grid,
     GridKind,
+    NoiseModel,
     ProblemParams,
     Regime,
     SampleSet,
@@ -18,6 +22,7 @@ from stable_extrap import (
     extrapolate,
     gram_fast,
     spectral_report,
+    TEST_FUNCTIONS,
 )
 
 RHO_SILVER = 1.0 + math.sqrt(2.0)
@@ -132,6 +137,36 @@ class TestExtrapolate:
         point = report.points[0]
         assert abs(float(fn(1.1)) - point.value) <= point.bound_explicit
 
+    @given(name=st.sampled_from(sorted(TEST_FUNCTIONS)), u=st.floats(0.5, 0.95),
+           n=st.integers(1, 200_000), log_eps=st.floats(-14.0, -2.0),
+           noise=st.sampled_from(["none", "worst-case", "gaussian"]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_error_below_bound_property(self, name, u, n, log_eps, noise, seed, fractions):
+        """|f(x) - value| <= bound_explicit for f analytic in E_rho' with
+        rho' = 1 + u(rho - 1) inside its pole ellipse, Q = 1.01 max|f| over
+        4096 points of that ellipse, samples perturbed by at most eps, and
+        x anywhere in [1, (rho' + 1/rho')/2)."""
+        test_fn = TEST_FUNCTIONS[name]
+        rho = 1.0 + u * (test_fn.rho - 1.0)
+        theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        ellipse = 0.5 * (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho)
+        q = 1.01 * float(np.max(np.abs(test_fn.fn(ellipse))))
+        eps = 10.0 ** log_eps
+        model = {"none": NoiseModel.none(), "worst-case": NoiseModel.worst_case(eps),
+                 "gaussian": NoiseModel.gaussian(eps / 5.0, seed)}[noise]
+        grid = make_grid(GridKind.EQUISPACED, n)
+        perturbation = model.draw(n + 1)
+        if noise == "gaussian":
+            eps = float(np.max(np.abs(perturbation)))
+        samples = SampleSet(grid, test_fn.fn(grid.points) + perturbation)
+        params = ProblemParams(n, rho, eps, q)
+        last = math.nextafter(params.interval_edge, 1.0)  # the edge is excluded
+        xs = [min(1.0 + f * (params.interval_edge - 1.0), last) for f in fractions]
+        for point in extrapolate(samples, params, xs).points:
+            assert abs(float(test_fn.fn(point.x)) - point.value) <= point.bound_explicit, point
+
     def test_factor_strictly_increasing_in_x(self):
         fn = lambda x: np.exp(np.asarray(x))
         for eps in (1e-12, 1e-3):  # undersampled and oversampled at N=100
@@ -161,12 +196,11 @@ class TestExtrapolate:
             extrapolate(equispaced_samples(np.cos, 64), params, [1.0])
 
     def test_non_equispaced_grid_rejected(self):
-        # The bound and M* assume the equispaced design, and fit refuses any
-        # other grid.
-        grid = make_grid(GridKind.CHEBYSHEV_FIRST_KIND, 100)
-        samples = SampleSet(grid, np.cos(grid.points))
+        # The bound and M* assume the equispaced design, and Grid refuses
+        # any other points before a sample set or a fit can take them.
+        points = np.cos((np.arange(101) + 0.5) * math.pi / 101)[::-1]
         with pytest.raises(ValueError, match="equispaced"):
-            extrapolate(samples, ProblemParams(100, 2.0, 1e-6, 1.0), [1.0])
+            Grid(points)
 
     def test_degenerate_level_pins_degree_to_zero(self):
         # eps > Q: nothing beyond the constant term is recoverable.
