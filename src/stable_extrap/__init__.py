@@ -8,77 +8,11 @@ decay against perturbation growth, and reports computable extrapolation
 error bounds together with the minimax witness showing they are sharp.
 """
 
-from .basis import (
-    Basis,
-    ChebyshevSeries,
-    Grid,
-    GridKind,
-    LegendreSeries,
-    SampleSet,
-    cheb_eval,
-    clenshaw_eval,
-    legendre_eval,
-    make_grid,
-)
-from .vandermonde import (
-    SpectralReport,
-    design_matrix,
-    dominant_eigenvalue,
-    dominant_singular_value,
-    gram_naive,
-    jacobi_eigenvalues,
-    lebesgue_constant,
-    spectral_report,
-)
-from .fastgram import (
-    gram_fast,
-    rhs,
-)
-from .solver import (
-    FitResult,
-    SolverError,
-    basis_change_matrix,
-    fit,
-    legendre_to_chebyshev,
-    psi,
-    psi_table,
-)
-from .extrapolator import (
-    DegreeChoice,
-    ExtrapolationReport,
-    MinimaxWitness,
-    PointReport,
-    ProblemParams,
-    Regime,
-    extrapolate,
-    minimax_witness,
-    noisy_extrapolation_bound,
-    optimal_degree,
-    r_alpha,
-)
-from .verify import (
-    CheckResult,
-    check_dplusc,
-    check_fplusc,
-    check_gram_condition,
-    check_interpolation_sandwich,
-    check_s_norm,
-    check_singular_bounds,
-    gerschgorin_interval,
-    run_suite,
-)
-from .experiments import (
-    NoiseKind,
-    NoiseModel,
-    Table,
-    TEST_FUNCTIONS,
-    bernstein_rho_from_pole,
-    plateau_statistic,
-    run_alpha_profile,
-    run_extrapolation_decay,
-    run_gram_timing,
-    run_noise_plateau,
-    run_singular_bounds_sweep,
-)
+from .basis import (Basis, ChebyshevSeries, Grid, GridKind, LegendreSeries,
+                    SampleSet, make_grid)
+from .solver import FitResult, SolverError, fit
+from .extrapolator import (ExtrapolationReport, PointReport, ProblemParams,
+                           Regime, extrapolate)
+from .verify import CheckResult, run_suite
 
 __version__ = "0.1.0"

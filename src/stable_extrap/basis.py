@@ -14,19 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "Basis",
-    "GridKind",
-    "Grid",
-    "ChebyshevSeries",
-    "LegendreSeries",
-    "SampleSet",
-    "cheb_eval",
-    "legendre_eval",
-    "clenshaw_eval",
-    "make_grid",
-]
-
 
 class Basis(str, Enum):
     CHEBYSHEV = "chebyshev"

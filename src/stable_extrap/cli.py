@@ -52,7 +52,10 @@ def json_dumps(obj) -> str:
 def _emit(document, output: str | None) -> None:
     text = json_dumps(document) + "\n"
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -251,38 +254,46 @@ def cmd_figure(args) -> int:
     for flag, only in (("rho", 1), ("eps", 1), ("seed", 4)):
         if getattr(args, flag) is not None and fig != only:
             raise CliError(f"--{flag} has no effect on figure {fig}")
-    outdir = Path(args.output) if args.output else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    if fig == 4 and args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
 
+    # Every table is computed before the output directory is made, so a
+    # refused parameter leaves nothing behind.
     if fig == 1:
         rho = args.rho if args.rho is not None else _FIGURE_DEFAULT_RHO
         eps = args.eps if args.eps is not None else _FIGURE_DEFAULT_EPS
-        profile = experiments.run_alpha_profile(rho, eps, x_count=513)
-        experiments.Table("alpha", {
-            "x": profile.columns["x"],
-            "alpha": profile.columns["alpha"],
-        }).write_csv(outdir / "figure1_alpha.csv")
-        experiments.Table("factor", {
-            "x": profile.columns["x"],
-            "factor": profile.columns["factor"],
-            "capped": profile.columns["capped"],
-        }).write_csv(outdir / "figure1_factor.csv")
+        try:
+            profile = experiments.run_alpha_profile(rho, eps, x_count=513).columns
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        tables = {
+            "figure1_alpha.csv": experiments.Table("alpha", {
+                "x": profile["x"], "alpha": profile["alpha"]}),
+            "figure1_factor.csv": experiments.Table("factor", {
+                "x": profile["x"], "factor": profile["factor"], "capped": profile["capped"]}),
+        }
     elif fig == 2:
-        table = experiments.run_singular_bounds_sweep(range(10, 402))
-        table.write_csv(outdir / "figure2_singular_bounds.csv")
+        tables = {"figure2_singular_bounds.csv":
+                  experiments.run_singular_bounds_sweep(range(10, 402))}
     elif fig == 3:
         xs = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
-        for f_id, fname in (("inv1px2", "figure3_left.csv"),
-                            ("inv1p2x2", "figure3_right.csv")):
-            experiments.run_extrapolation_decay(f_id, xs, m_max=40).write_csv(outdir / fname)
+        tables = {fname: experiments.run_extrapolation_decay(f_id, xs, m_max=40)
+                  for f_id, fname in (("inv1px2", "figure3_left.csv"),
+                                      ("inv1p2x2", "figure3_right.csv"))}
     elif fig == 4:
-        result = experiments.run_noise_plateau(
-            m_degree=100, n_list=(40_000, 4_000_000), s=1e-3, seed=args.seed)
-        result.table.write_csv(outdir / "figure4_coefficients.csv")
+        tables = {"figure4_coefficients.csv": experiments.run_noise_plateau(
+            m_degree=100, n_list=(40_000, 4_000_000), s=1e-3, seed=args.seed).table}
     else:
-        table = experiments.run_gram_timing(
-            m_degree=50, n_list=(10_000, 100_000, 1_000_000))
-        table.write_csv(outdir / "figure5_timing.csv")
+        tables = {"figure5_timing.csv": experiments.run_gram_timing(
+            m_degree=50, n_list=(10_000, 100_000, 1_000_000))}
+
+    outdir = Path(args.output) if args.output else Path(".")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for fname, table in tables.items():
+            table.write_csv(outdir / fname)
+    except OSError as exc:
+        raise CliError(f"cannot write {outdir}: {exc}") from exc
     return 0
 
 

@@ -18,26 +18,11 @@ from enum import Enum
 import numpy as np
 
 from .basis import Basis, GridKind, SampleSet, clenshaw_eval, make_grid
+from .extrapolator import ProblemParams
 from .fastgram import gram_fast, rhs
 from .solver import fit
 from .vandermonde import design_matrix, gram_naive
 from .verify import _design_spectrum, _legendre_envelope
-
-__all__ = [
-    "NoiseKind",
-    "NoiseModel",
-    "Table",
-    "TestFunction",
-    "TEST_FUNCTIONS",
-    "bernstein_rho_from_pole",
-    "plateau_statistic",
-    "run_alpha_profile",
-    "run_singular_bounds_sweep",
-    "run_extrapolation_decay",
-    "run_noise_plateau",
-    "NoisePlateauResult",
-    "run_gram_timing",
-]
 
 FACTOR_CAP = 1e300
 
@@ -149,11 +134,12 @@ def run_alpha_profile(rho: float, eps: float, x_count: int) -> Table:
     interval, edge included.
 
     At the edge r -> 1, so the factor blows up; such rows are capped at
-    FACTOR_CAP and flagged in the `capped` column.
+    FACTOR_CAP and flagged in the `capped` column. A rho or eps that
+    ProblemParams refuses (not finite, rho <= 1, eps <= 0) raises ValueError.
     """
     if x_count < 2:
         raise ValueError("x_count must be at least 2")
-    edge = 0.5 * (rho + 1.0 / rho)
+    edge = ProblemParams(1, rho, eps, 1.0).interval_edge
     xs = np.linspace(1.0, edge, x_count)
     log_rho = math.log(rho)
     alphas, factors, capped = [], [], []

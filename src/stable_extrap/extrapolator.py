@@ -26,20 +26,6 @@ from .fastgram import gram_fast  # unused; the benchmark tracer wraps it (ROADMA
 from .solver import FitResult, fit
 from .vandermonde import spectral_report  # unused; the benchmark tracer wraps it (ROADMAP item 0)
 
-__all__ = [
-    "Regime",
-    "ProblemParams",
-    "DegreeChoice",
-    "PointReport",
-    "ExtrapolationReport",
-    "MinimaxWitness",
-    "optimal_degree",
-    "r_alpha",
-    "extrapolate",
-    "minimax_witness",
-    "noisy_extrapolation_bound",
-]
-
 
 class Regime(str, Enum):
     OVERSAMPLED = "oversampled"

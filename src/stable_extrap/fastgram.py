@@ -23,11 +23,6 @@ import numpy as np
 
 from .basis import Basis, Grid, _recurrence
 
-__all__ = [
-    "gram_fast",
-    "rhs",
-]
-
 _CHUNK = 16384  # rhs's block size: folded points, and proxies per batch
 # rhs panels: at most this many points, and the panel matrix T_l(t_i) at
 # most this many entries (512 KB).

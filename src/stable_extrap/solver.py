@@ -23,16 +23,6 @@ from .vandermonde import (
     spectral_report,
 )
 
-__all__ = [
-    "SolverError",
-    "FitResult",
-    "psi",
-    "psi_table",
-    "basis_change_matrix",
-    "fit",
-    "legendre_to_chebyshev",
-]
-
 
 class SolverError(RuntimeError):
     """Numerical failure while solving the normal equations."""

@@ -26,18 +26,6 @@ import numpy as np
 
 from .basis import Basis, Grid, _recurrence
 
-__all__ = [
-    "Basis",
-    "SpectralReport",
-    "design_matrix",
-    "gram_naive",
-    "jacobi_eigenvalues",
-    "dominant_eigenvalue",
-    "dominant_singular_value",
-    "spectral_report",
-    "lebesgue_constant",
-]
-
 # Stopping rule of the iterative eigensolvers (Jacobi and power iteration).
 _REL_TOL = 1e-13
 _MAX_SWEEPS = 100

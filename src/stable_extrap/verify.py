@@ -33,23 +33,6 @@ from .vandermonde import (
     spectral_report,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
 )
 
-__all__ = [
-    "CheckResult",
-    "gerschgorin_interval",
-    "parity_matrix",
-    "dc_matrix",
-    "fc_matrix",
-    "check_singular_bounds",
-    "check_gram_condition",
-    "check_dplusc",
-    "check_fplusc",
-    "check_s_norm",
-    "check_interpolation_sandwich",
-    "run_suite",
-    "SUITE_NAMES",
-    "KNOWN_FALSE",
-]
-
 # Checks of statements that are false as stated: they run and report
 # passed=False, and the CLI's exit status does not count them.
 KNOWN_FALSE = frozenset({"sandwich-lower"})

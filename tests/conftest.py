@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import stable_extrap
-from stable_extrap import Basis, design_matrix, gram_naive, spectral_report
+from stable_extrap import Basis
+from stable_extrap.vandermonde import design_matrix, gram_naive, spectral_report
 
 SRC = str(Path(stable_extrap.__file__).resolve().parents[1])
 

@@ -14,26 +14,22 @@ import time
 import numpy as np
 import pytest
 
-from stable_extrap import (
-    Basis,
-    GridKind,
-    SampleSet,
+from stable_extrap import Basis, GridKind, SampleSet, fit, make_grid
+from stable_extrap.experiments import (
+    run_extrapolation_decay,
+    run_gram_timing,
+    run_noise_plateau,
+)
+from stable_extrap.extrapolator import minimax_witness, r_alpha
+from stable_extrap.fastgram import gram_fast
+from stable_extrap.vandermonde import design_matrix, gram_naive
+from stable_extrap.verify import (
     check_dplusc,
     check_fplusc,
     check_gram_condition,
     check_interpolation_sandwich,
     check_s_norm,
     check_singular_bounds,
-    design_matrix,
-    fit,
-    gram_fast,
-    gram_naive,
-    make_grid,
-    minimax_witness,
-    r_alpha,
-    run_extrapolation_decay,
-    run_gram_timing,
-    run_noise_plateau,
 )
 
 RHO_SILVER = 1.0 + math.sqrt(2.0)

@@ -15,11 +15,9 @@ from stable_extrap import (
     GridKind,
     LegendreSeries,
     SampleSet,
-    cheb_eval,
-    clenshaw_eval,
-    legendre_eval,
     make_grid,
 )
+from stable_extrap.basis import cheb_eval, clenshaw_eval, legendre_eval
 
 
 class TestChebEval:
@@ -188,6 +186,14 @@ class TestEquispacedCheck:
             pts[n - k] = -pts[k]
             match = rf"not equispaced: \|x\[{k}\] - \(2\*{k}/{n} - 1\)\|"
         with pytest.raises(ValueError, match=match):
+            Grid(pts, GridKind.EQUISPACED)
+
+    def test_chebyshev_points_labelled_equispaced_rejected(self):
+        # Mirror-symmetric but not equispaced: the mirror check passes and
+        # the equispacing check names the first point.
+        pts = np.cos((np.arange(401) + 0.5) * math.pi / 401)[::-1]
+        assert np.max(np.abs(pts + pts[::-1])) <= 1e-15
+        with pytest.raises(ValueError, match=r"not equispaced: \|x\[0\] - \(2\*0/400 - 1\)\|"):
             Grid(pts, GridKind.EQUISPACED)
 
     def test_check_allocates_one_block(self):

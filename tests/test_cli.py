@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stable_extrap
-from stable_extrap import CheckResult, GridKind, cheb_eval, make_grid, verify
+from stable_extrap import CheckResult, GridKind, make_grid, verify
+from stable_extrap.basis import cheb_eval
 from stable_extrap.cli import CliError, json_dumps, main, read_samples_csv
 
 RHO_SILVER = 1.0 + math.sqrt(2.0)
@@ -505,6 +506,33 @@ class TestFigureCommand:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_figure4_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["figure", "--figure", "4", "--seed", "-1", "--output", str(out)]) == 2
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rho", "0.5", "rho must exceed 1"),
+        ("--rho", "1", "rho must exceed 1"),
+        ("--rho", "inf", "rho must be finite, got inf"),
+        ("--rho", "nan", "rho must be finite, got nan"),
+        ("--eps", "0", "eps must be positive"),
+        ("--eps", "inf", "eps must be finite, got inf"),
+    ])
+    def test_figure1_bad_parameter_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        assert main(["figure", "--figure", "1", flag, value, "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["figure", "--figure", "1", "--output", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
     def test_figure4_with_seed(self, tmp_path):
         assert main(["figure", "--figure", "4", "--output", str(tmp_path),
                      "--seed", "1"]) == 0
@@ -549,6 +577,21 @@ def test_flag_without_effect_exits_2(tmp_path, capsys, args, flag):
     assert main([*args, "--output", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--M", "3"],
+    ["extrapolate", "--rho", "2.414", "--eps", "1e-10", "--Q", "1.5", "--at", "1.1"],
+    ["verify", "--suite", "s-norm", "--M", "3"],
+], ids=lambda args: args[0])
+def test_unwritable_output_exits_2(tmp_path, capsys, args):
+    """An --output in a directory that does not exist is refused by name."""
+    if args[0] != "verify":
+        write_samples(tmp_path / "s.csv", 64, np.cos)
+        args = [*args, "--input", str(tmp_path / "s.csv")]
+    out = tmp_path / "missing" / "out.json"
+    assert main([*args, "--output", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
 
 
 class TestThreads:

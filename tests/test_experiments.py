@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from stable_extrap import (
+from stable_extrap.experiments import (
     NoiseKind,
     NoiseModel,
     TEST_FUNCTIONS,
     bernstein_rho_from_pole,
-    check_singular_bounds,
     plateau_statistic,
     run_alpha_profile,
     run_extrapolation_decay,
@@ -16,6 +15,7 @@ from stable_extrap import (
     run_noise_plateau,
     run_singular_bounds_sweep,
 )
+from stable_extrap.verify import check_singular_bounds
 
 RHO_SILVER = 1.0 + math.sqrt(2.0)
 
@@ -79,6 +79,18 @@ class TestAlphaProfile:
         t = run_alpha_profile(RHO_SILVER, 2.2e-16, 200)
         alpha = np.asarray(t.columns["alpha"])
         assert np.all(np.diff(alpha) < 0)
+
+    @pytest.mark.parametrize("rho, eps, message", [
+        (0.5, 1e-8, "rho must exceed 1"),
+        (1.0, 1e-8, "rho must exceed 1"),
+        (math.inf, 1e-8, "rho must be finite, got inf"),
+        (math.nan, 1e-8, "rho must be finite, got nan"),
+        (RHO_SILVER, 0.0, "eps must be positive"),
+        (RHO_SILVER, math.inf, "eps must be finite, got inf"),
+    ])
+    def test_refuses_what_problem_params_refuses(self, rho, eps, message):
+        with pytest.raises(ValueError, match=message):
+            run_alpha_profile(rho, eps, 64)
 
     def test_factor_monotone_increasing_until_cap(self):
         t = run_alpha_profile(RHO_SILVER, 1e-8, 200)

@@ -1,5 +1,5 @@
-"""The package's export lists name what exists, the package re-exports
-only what each module lists, and the README's quick start runs."""
+"""The package top level re-exports exactly the README's public API, every
+other name stays in its own module, and the README's quick start runs."""
 
 import ast
 import importlib
@@ -13,6 +13,32 @@ import stable_extrap
 MODULES = ("basis", "cli", "experiments", "extrapolator", "fastgram",
            "solver", "vandermonde", "verify")
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Every name the top level once re-exported, by the module that defines it.
+# Those outside the public API are imported from these modules.
+MODULE_NAMES = {
+    "basis": ("Basis", "ChebyshevSeries", "Grid", "GridKind", "LegendreSeries",
+              "SampleSet", "cheb_eval", "clenshaw_eval", "legendre_eval", "make_grid"),
+    "vandermonde": ("SpectralReport", "design_matrix", "dominant_eigenvalue",
+                    "dominant_singular_value", "gram_naive", "jacobi_eigenvalues",
+                    "lebesgue_constant", "spectral_report"),
+    "fastgram": ("gram_fast", "rhs"),
+    "solver": ("FitResult", "SolverError", "basis_change_matrix", "fit",
+               "legendre_to_chebyshev", "psi", "psi_table"),
+    "extrapolator": ("DegreeChoice", "ExtrapolationReport", "MinimaxWitness",
+                     "PointReport", "ProblemParams", "Regime", "extrapolate",
+                     "minimax_witness", "noisy_extrapolation_bound", "optimal_degree",
+                     "r_alpha"),
+    "verify": ("CheckResult", "check_dplusc", "check_fplusc", "check_gram_condition",
+               "check_interpolation_sandwich", "check_s_norm", "check_singular_bounds",
+               "gerschgorin_interval", "run_suite"),
+    "experiments": ("NoiseKind", "NoiseModel", "Table", "TEST_FUNCTIONS",
+                    "bernstein_rho_from_pole", "plateau_statistic", "run_alpha_profile",
+                    "run_extrapolation_decay", "run_gram_timing", "run_noise_plateau",
+                    "run_singular_bounds_sweep"),
+}
+
 
 def init_reexports():
     """(module, name) for each `from .module import name` in __init__.py."""
@@ -22,30 +48,37 @@ def init_reexports():
             for alias in node.names]
 
 
+def readme_public_api():
+    """The backquoted names on the README's one `Public API:` line."""
+    lines = re.findall(r"^Public API: (.*)$", README.read_text(encoding="utf-8"), re.M)
+    assert len(lines) == 1
+    return re.findall(r"`(\w+)`", lines[0])
+
+
 def test_every_module_is_listed():
     package = Path(stable_extrap.__file__).parent
     assert sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__") == sorted(MODULES)
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_all_names_exist(module):
+def test_reexports_are_the_readme_public_api():
+    names = [name for _, name in init_reexports()]
+    assert len(names) == len(set(names))
+    assert set(names) == set(readme_public_api())
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_NAMES))
+def test_names_stay_in_their_modules(module):
+    assert sum(map(len, MODULE_NAMES.values())) == 58
     mod = importlib.import_module(f"stable_extrap.{module}")
-    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
-    assert not missing
-
-
-def test_reexports_are_in_their_modules_all():
-    reexports = init_reexports()
-    assert reexports
-    for module, name in reexports:
-        mod = importlib.import_module(f"stable_extrap.{module}")
-        assert name in getattr(mod, "__all__", ()), f"{module}.{name}"
-        assert getattr(stable_extrap, name) is getattr(mod, name)
+    for name in MODULE_NAMES[module]:
+        obj = getattr(mod, name)
+        assert getattr(obj, "__module__", mod.__name__) == mod.__name__, f"{module}.{name}"
+        if hasattr(stable_extrap, name):
+            assert getattr(stable_extrap, name) is obj, f"{module}.{name}"
 
 
 def test_readme_quick_start_runs(capsys):
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 4

@@ -8,22 +8,22 @@ from hypothesis import strategies as st
 import stable_extrap.extrapolator
 import stable_extrap.solver
 from stable_extrap import (
-    Grid,
     GridKind,
-    NoiseModel,
     ProblemParams,
     Regime,
     SampleSet,
     make_grid,
+    extrapolate,
+)
+from stable_extrap.experiments import NoiseModel, TEST_FUNCTIONS
+from stable_extrap.extrapolator import (
     minimax_witness,
     noisy_extrapolation_bound,
     optimal_degree,
     r_alpha,
-    extrapolate,
-    gram_fast,
-    spectral_report,
-    TEST_FUNCTIONS,
 )
+from stable_extrap.fastgram import gram_fast
+from stable_extrap.vandermonde import spectral_report
 
 RHO_SILVER = 1.0 + math.sqrt(2.0)
 
@@ -194,13 +194,6 @@ class TestExtrapolate:
         params = ProblemParams(100, 2.0, 1e-6, 1.0)
         with pytest.raises(ValueError, match="N="):
             extrapolate(equispaced_samples(np.cos, 64), params, [1.0])
-
-    def test_non_equispaced_grid_rejected(self):
-        # The bound and M* assume the equispaced design, and Grid refuses
-        # any other points before a sample set or a fit can take them.
-        points = np.cos((np.arange(101) + 0.5) * math.pi / 101)[::-1]
-        with pytest.raises(ValueError, match="equispaced"):
-            Grid(points)
 
     def test_degenerate_level_pins_degree_to_zero(self):
         # eps > Q: nothing beyond the constant term is recoverable.

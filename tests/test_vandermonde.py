@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
-from stable_extrap import (
-    Basis,
-    GridKind,
-    cheb_eval,
+from stable_extrap import Basis, GridKind, make_grid
+from stable_extrap.basis import cheb_eval
+from stable_extrap.fastgram import gram_fast
+from stable_extrap.vandermonde import (
     design_matrix,
     dominant_eigenvalue,
     dominant_singular_value,
-    gram_fast,
     gram_naive,
     jacobi_eigenvalues,
     lebesgue_constant,
-    make_grid,
     spectral_report,
 )
 

@@ -5,18 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stable_extrap import (
+from stable_extrap import run_suite
+from stable_extrap.verify import (
     check_dplusc,
     check_fplusc,
     check_gram_condition,
     check_interpolation_sandwich,
     check_s_norm,
     check_singular_bounds,
+    dc_matrix,
+    fc_matrix,
     gerschgorin_interval,
-    run_suite,
+    parity_matrix,
 )
 from stable_extrap import verify
-from stable_extrap.verify import dc_matrix, fc_matrix, parity_matrix
 
 CERTIFY_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "certify_reference.json"
 
@@ -270,7 +272,7 @@ class TestSuites:
             "    h.update(r.name.encode() + repr(sorted(r.params.items())).encode())\n"
             "    h.update(struct.pack('<dd', r.lhs, r.rhs))\n"
             "print(h.hexdigest())\n"
-            "from stable_extrap import check_s_norm\n"
+            "from stable_extrap.verify import check_s_norm\n"
             "norms = [check_s_norm(m)[0].lhs for m in range(150, 1001, 10)]\n"
             "print(hashlib.sha1(struct.pack(f'<{len(norms)}d', *norms)).hexdigest())\n"
         )
