@@ -12,12 +12,14 @@ The right-hand side b_m = sum_k y_k T_m(x_k) is the one O(MN) step. The
 grid is a union of translates of one set of local nodes, so rhs replaces
 each panel of w points by its moments against the fixed matrix T_l(t_i)
 (the anterpolation step of fast multipole and NUFFT-type methods), which is
-exact for the degree-M polynomials a panel carries: one einsum contraction
-per block of panels, about NK/2 multiply-adds with K = M+1, and the
-three-term recurrence over only K proxies per panel.
+exact for the degree-M polynomials a panel carries: one BLAS product per block
+and parity at shapes fixed by w and _CHUNK, about NK/2 multiply-adds with
+K = M+1, and the three-term recurrence over only K proxies per panel.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,30 +125,42 @@ def _panel_width(n_coeffs: int) -> int:
     return 1 << (cap.bit_length() - 1)
 
 
+@lru_cache(maxsize=8)
 def _panel_operators(n_coeffs: int, width: int):
-    """The fixed matrices of a panel of `width` points and K = M+1 proxies.
+    """The fixed, read-only matrices of a panel of `width` points and K = M+1
+    proxies, cached per (K, w).
 
-    Returns (local, to_nodes, tau). local[a, j, i] is T_{2j+a}(t_{w/2+i}),
+    Returns (local_t, to_nodes, tau). local_t[a, i, j] is T_{2j+a}(t_{w/2+i}),
     the even (a = 0) and odd (a = 1) degrees at the right half of the local
-    nodes t_i = (2i - (w-1))/w. to_nodes[a, j, k] is
-    (c/K) T_{2j+a}(tau_k), c = 1 for degree 0 and 2 otherwise, at the K
-    Chebyshev points tau_k = cos((k+1/2)pi/K). Rows past degree M are zero.
+    nodes t_i = (2i - (w-1))/w, each local_t[a] the contiguous (w/2) x ceil(K/2)
+    matrix _panel_moments reads. to_nodes[a, j, k] is (c/K) T_{2j+a}(tau_k),
+    c = 1 for degree 0 and 2 otherwise, at the K Chebyshev points
+    tau_k = cos((k+1/2)pi/K). Degrees past M are zero.
     """
     k, h = n_coeffs, width // 2
     theta = (np.arange(k) + 0.5) * np.pi / k
     tau = np.cos(theta)
     t = (2.0 * np.arange(h, width) - (width - 1)) / width  # exact in binary
     rows = (k + 1) // 2
-    local = np.zeros((2, rows, h))
+    local_t = np.zeros((2, h, rows))
     for m, t_m in enumerate(_recurrence(Basis.CHEBYSHEV, t, k - 1)):
-        local[m % 2, m // 2] = t_m
+        local_t[m % 2, :, m // 2] = t_m
     scale = np.full(k, 2.0 / k)
     scale[0] = 1.0 / k
     cheb_at_nodes = scale[:, None] * np.cos(np.arange(k)[:, None] * theta)
     to_nodes = np.zeros((2, rows, k))
     to_nodes[0] = cheb_at_nodes[0::2]
     to_nodes[1, :k // 2] = cheb_at_nodes[1::2]
-    return local, to_nodes, tau
+    local_t.flags.writeable = to_nodes.flags.writeable = tau.flags.writeable = False
+    return local_t, to_nodes, tau
+
+
+def _panel_moments(folded: np.ndarray, local_t: np.ndarray, out: np.ndarray):
+    """out[a, p, q] = folded[a, p, q] @ local_t[a], the moments of P panels: one
+    BLAS product (2P x w/2) @ (w/2 x ceil(K/2)) per parity a, on views, no copy."""
+    h, rows = local_t.shape[1:]
+    for a in range(2):
+        np.matmul(folded[a].reshape(-1, h), local_t[a], out=out[a].reshape(-1, rows))
 
 
 def _proxy_sums(nu: np.ndarray, first: int, width: int, n: int, tau: np.ndarray,
@@ -199,9 +213,10 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     T_l(t_i) are the panel's moments and nu = mu diag(1/K, 2/K, ..., 2/K)
     T(tau)^T, by the discrete orthogonality of T_0..T_M on the tau_k. So the
     w points of a panel become K proxies z = c_p + (w/N) tau_k with weights
-    nu, and the recurrence runs over the proxies only. The moments of a
-    block of panels are one einsum against the fixed K x w matrix T_l(t_i),
-    halved by the symmetry t_{w-1-i} = -t_i. The cost is about NK/2
+    nu, and the recurrence runs over the proxies only. The symmetry
+    t_{w-1-i} = -t_i folds each panel into an even and an odd half, and the
+    moments of a block of P panels are then one BLAS product per parity,
+    (2P x w/2) @ (w/2 x ceil(K/2)) (_panel_moments). The cost is about NK/2
     multiply-adds there, P K^2 for nu and P K M for the recurrence over the
     PK proxies of P panels. The last panel is zero-padded and, because of
     the fold, stays inside [-1, 1]. The proxies sit at the grid's positions
@@ -217,22 +232,23 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
 
     Compression runs when half >= w and w >= 4K, so that it pays, and when
     M <= sqrt(N)/2, so that each panel is short on the scale of T_M's
-    oscillation. Past
-    that boundary a panel's local polynomial uses its full degree near
-    t = +-1, where T_l(t) is most sensitive to rounding, and the panels lost
-    up to 100 times more digits than the plain recurrence (M = 127,
-    N = 1023). Otherwise every point is its own proxy and the same
+    oscillation. Past that boundary a panel's local polynomial uses its full
+    degree near t = +-1, where T_l(t) is most sensitive to rounding, and the
+    panels lost up to 100 times more digits than the plain recurrence
+    (M = 127, N = 1023). Otherwise every point is its own proxy and the same
     recurrence runs over the points themselves.
 
     Blocks hold max(1, _CHUNK // w) panels, or _CHUNK points when nothing is
     compressed, and the proxies are summed in batches of about _CHUNK, so
-    the extra space is O(_CHUNK + Kw), about 2 MB. Every product and
-    reduction is numpy's own single-threaded einsum (or np.sum) in a fixed
-    order, never a BLAS kernel, which can split work across threads; the
-    bits therefore do not depend on the number of BLAS threads.
+    the extra space is O(_CHUNK + Kw), about 2 MB, besides the panel
+    operators, cached per (K, w). The moments are the one BLAS product, whose
+    bits can depend on the thread count at some shapes; its shapes are fixed
+    by w and _CHUNK, and the tests pin the bits of all 2,816 under 1, 2 and 4
+    threads. Every other product and reduction is numpy's own single-threaded
+    einsum (or np.sum) in a fixed order. So the bits do not depend on the
+    number of BLAS threads.
 
-    Raises ValueError if the sample count differs from the grid's or if
-    M < 0.
+    Raises ValueError if the sample count differs from the grid's or if M < 0.
     """
     y = np.asarray(samples, dtype=float)
     x = grid.points
@@ -256,10 +272,10 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
             b += _parity_sums(x[lo:lo + count], s[:count], d[:count], m_degree)
         return b
 
-    local, to_nodes, tau = _panel_operators(k, w)
+    local_t, to_nodes, tau = _panel_operators(k, w)
     h = w // 2
-    folded = np.empty((2, 2, panels, h))
-    moments = np.empty((2, 2, panels, local.shape[1]))
+    folded = np.empty((2, panels, 2, h))  # (parity in t, panel, s or d, point)
+    moments = np.empty((2, panels, 2, local_t.shape[2]))
     batch = max(panels, min(_CHUNK // k, total))  # panels per proxy sum
     nu = np.empty((2, batch, k))
     first = filled = 0  # nu[:, :filled] holds panels first, first+1, ...
@@ -274,12 +290,11 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
         if filled + p > batch:
             b += _proxy_sums(nu[:, :filled], first, w, n, tau, m_degree)
             first, filled = first + filled, 0
-        block = sd[:, :p]
-        np.add(block[..., h:], block[..., h - 1::-1], out=folded[0, :, :p])
-        np.subtract(block[..., h:], block[..., h - 1::-1], out=folded[1, :, :p])
-        np.einsum("aqpi,ali->aqpl", folded[:, :, :p], local,
-                  out=moments[:, :, :p])
-        np.einsum("aqpl,alk->qpk", moments[:, :, :p], to_nodes,
+        block = sd[:, :p].swapaxes(0, 1)  # (panel, s or d, point)
+        np.add(block[..., h:], block[..., h - 1::-1], out=folded[0, :p])
+        np.subtract(block[..., h:], block[..., h - 1::-1], out=folded[1, :p])
+        _panel_moments(folded[:, :p], local_t, moments[:, :p])
+        np.einsum("apql,alk->qpk", moments[:, :p], to_nodes,
                   out=nu[:, filled:filled + p])
         filled += p
     return b + _proxy_sums(nu[:, :filled], first, w, n, tau, m_degree)

@@ -13,7 +13,7 @@ interpolation sandwich). The power iteration serves the basis-change norms:
 dominant_eigenvalue applies a symmetric matrix, dominant_singular_value
 applies b^T (b v) without forming b^T b. Each step is one or two
 matrix-vector products, whose bits did not depend on the BLAS thread count
-in the tests (a matrix-matrix product's did).
+in the tests (the bits of a matrix-matrix product can, at some shapes).
 """
 
 from __future__ import annotations

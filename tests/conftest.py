@@ -16,15 +16,17 @@ SRC = str(Path(stable_extrap.__file__).resolve().parents[1])
 
 @pytest.fixture
 def outputs_per_blas_thread_count():
-    """Run a Python script once under OPENBLAS_NUM_THREADS=1 and once under
-    2, each in a fresh interpreter that imports this checkout's package, and
-    return the two stripped stdouts. A script that prints hashes of its
-    results shows whether their bits depend on the BLAS thread count."""
+    """Run a Python script once under each OPENBLAS_NUM_THREADS in
+    `threads` (by default 1 and 2), each in a fresh interpreter that imports
+    this checkout's package, and return the stripped stdouts in that order.
+    A script that prints hashes of its results shows whether their bits
+    depend on the BLAS thread count. OpenBLAS caps the count at the host's
+    processors, so 4 acts as 2 on a 2-processor host."""
 
-    def run(script: str) -> list[bytes]:
+    def run(script: str, threads: tuple[str, ...] = ("1", "2")) -> list[bytes]:
         outputs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+        for count in threads:
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": count,
                    "PYTHONPATH": os.pathsep.join(
                        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
             proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -1,4 +1,3 @@
-import inspect
 import math
 import tracemalloc
 import warnings
@@ -44,6 +43,21 @@ def rhs_in_chunks(monkeypatch, grid, y, m_deg, chunk):
     with monkeypatch.context() as patch:
         patch.setattr(fastgram, "_CHUNK", chunk)
         return rhs(grid, y, m_deg)
+
+
+def long_double_rhs(grid, ys, m_deg):
+    """Oracle: sum_k y_k T_m(x_k) for m = 0..M and each row y of ys, by the
+    plain three-term recurrence over all N+1 points in long double."""
+    x = grid.points.astype(np.longdouble)
+    yl = np.atleast_2d(ys).astype(np.longdouble)
+    ref = np.empty((yl.shape[0], m_deg + 1), dtype=np.longdouble)
+    t_prev, t_cur = np.ones_like(x), x
+    ref[:, 0] = np.sum(yl, axis=1)
+    for k in range(1, m_deg + 1):
+        if k > 1:
+            t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
+        ref[:, k] = np.sum(t_cur * yl, axis=1)
+    return ref
 
 
 def exact_weights(s_max):
@@ -240,7 +254,7 @@ class TestRhs:
     def test_bits_independent_of_blas_threads(self, outputs_per_blas_thread_count):
         """OpenBLAS splits dot products longer than about 1e4 across threads;
         with chunks longer than that, rhs must still give the same bits under
-        one and two BLAS threads."""
+        one, two and four BLAS threads."""
         n, m_deg = 300_000, 10
         chunk = fastgram._CHUNK
         assert chunk > 10 ** 4 and (n // 2 + 1) // chunk >= 3
@@ -252,16 +266,18 @@ class TestRhs:
             f"y = np.random.default_rng(3).normal(size={n + 1})\n"
             f"print(hashlib.sha1(rhs(grid, y, {m_deg}).tobytes()).hexdigest())\n"
         )
-        digests = outputs_per_blas_thread_count(script)
-        assert digests[0] == digests[1]
+        digests = outputs_per_blas_thread_count(script, ("1", "2", "4"))
+        assert digests[0] == digests[1] == digests[2]
 
     def test_bits_independent_of_blas_threads_at_benchmark_shapes(
             self, outputs_per_blas_thread_count):
         """At the benchmark's shapes (N, M) = (4e6, 27), (62500, 125) and
         (1e6, 35) the panel contraction runs, and its bits are the same under
-        one and two BLAS threads, with the default _CHUNK and with every
-        panel in one block. np.matmul in place of the contraction's einsum
-        gives other bits under two threads at (62500, 125) in one block."""
+        one, two and four BLAS threads, with the default _CHUNK and with
+        every panel in one block. An unfolded moment product, one
+        (P x w) @ (w x K) matmul per block without the in-panel parity fold,
+        gave other bits under two threads at (62500, 125) and (40000, 100)
+        with every panel in one block."""
         shapes = ((4_000_000, 27), (62_500, 125), (1_000_000, 35))
         for n, m_deg in shapes:
             w = fastgram._panel_width(m_deg + 1)
@@ -278,18 +294,46 @@ class TestRhs:
             "        b = rhs(grid, y, m)\n"
             "        print(hashlib.sha1(b.tobytes()).hexdigest())\n"
         )
-        outputs = outputs_per_blas_thread_count(script)
+        outputs = outputs_per_blas_thread_count(script, ("1", "2", "4"))
         assert len(outputs[0].splitlines()) == 2 * len(shapes)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_no_blas_products(self):
-        # The grep behind the thread test above: numpy's einsum (without
-        # optimize, which may hand off to BLAS) is the only product kernel.
-        for fn in (rhs, fastgram._parity_sums, fastgram._proxy_sums,
-                   fastgram._panel_operators, fastgram._folded_blocks):
-            source = inspect.getsource(fn)
-            for banned in ("matmul", "np.dot", ".dot(", "tensordot", " @ ", "optimize"):
-                assert banned not in source, (fn.__name__, banned)
+    def test_moment_product_bits_independent_of_blas_threads(
+            self, outputs_per_blas_thread_count):
+        """_panel_moments, rhs's one BLAS product, gives the same bits under
+        one, two and four BLAS threads at every shape rhs can issue under
+        the default _CHUNK: each K = M+1 that compresses (w >= 4K, w from
+        _panel_width) and each block of p = 1 .. _CHUNK // w panels."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from stable_extrap import fastgram\n"
+            "digest, shapes = hashlib.sha1(), 0\n"
+            "rng = np.random.default_rng(0)\n"
+            "k = 1\n"
+            "while (w := fastgram._panel_width(k)) >= 4 * k:\n"
+            "    local_t = fastgram._panel_operators(k, w)[0]\n"
+            "    panels = fastgram._CHUNK // w\n"
+            "    folded = rng.normal(size=(2, panels, 2, w // 2))\n"
+            "    out = np.empty((2, panels, 2, local_t.shape[2]))\n"
+            "    for p in range(1, panels + 1):\n"
+            "        fastgram._panel_moments(folded[:, :p], local_t, out[:, :p])\n"
+            "        digest.update(out[:, :p].tobytes())\n"
+            "        shapes += 1\n"
+            "    k += 1\n"
+            "print(shapes, digest.hexdigest())\n"
+        )
+        outputs = outputs_per_blas_thread_count(script, ("1", "2", "4"))
+        # K = 1..32 at w = 2048, 33..64 at 1024 and 65..128 at 512.
+        assert outputs[0].split()[0] == b"2816"
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_panel_operators_cached_read_only(self):
+        local_t, to_nodes, tau = fastgram._panel_operators(126, 512)
+        assert fastgram._panel_operators(126, 512)[0] is local_t
+        assert local_t.shape == (2, 256, 63) and local_t.flags.c_contiguous
+        for a in (local_t, to_nodes, tau):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
     @pytest.mark.parametrize("n, m_deg", [(4_000_000, 27), (62_500, 125), (1_000_000, 35)])
     def test_extra_memory_bounded(self, n, m_deg):
@@ -335,17 +379,27 @@ class TestRhs:
             y = np.where(np.abs(grid.points) > 0.99, signs, 0.0)
         else:
             y = rng.normal(size=n + 1) + data.draw(st.sampled_from([0.0, 3.0]), label="offset")
-        x = grid.points.astype(np.longdouble)
-        yl = y.astype(np.longdouble)
-        ref = np.empty(m_deg + 1, dtype=np.longdouble)
-        t_prev, t_cur = np.ones_like(x), x
-        ref[0] = np.sum(yl)
-        for k in range(1, m_deg + 1):
-            if k > 1:
-                t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
-            ref[k] = np.sum(t_cur * yl)
-        err = np.max(np.abs(rhs(grid, y, m_deg) - ref))
+        err = np.max(np.abs(rhs(grid, y, m_deg) - long_double_rhs(grid, y, m_deg)[0]))
         assert err <= 1e-14 * np.sum(np.abs(y)), (n, m_deg, float(err))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than float64 here")
+    def test_matches_long_double_recurrence_at_panel_width_switches(self):
+        """The bound of the Hypothesis test above, at fixed draws on both
+        sides of each panel-width switch (w = 2048, 1024, 512 for M = 31, 63,
+        127, and the next width or the plain recurrence one degree up), at
+        the smallest N the panels run at, one past it and 4 times it, for
+        Gaussian y and for y = +-1 only at |x| > 0.99."""
+        for m_deg in (31, 32, 63, 64, 127, 128):
+            for n in (4 * m_deg ** 2, 4 * m_deg ** 2 + 1, 16 * m_deg ** 2):
+                grid = make_grid(GridKind.EQUISPACED, n)
+                rng = np.random.default_rng(n)
+                signs = rng.choice([-1.0, 1.0], size=n + 1)
+                ys = (rng.normal(size=n + 1),
+                      np.where(np.abs(grid.points) > 0.99, signs, 0.0))
+                for y, ref in zip(ys, long_double_rhs(grid, ys, m_deg)):
+                    err = np.max(np.abs(rhs(grid, y, m_deg) - ref))
+                    assert err <= 1e-14 * np.sum(np.abs(y)), (n, m_deg, float(err))
 
     def test_length_mismatch_rejected(self):
         grid = make_grid(GridKind.EQUISPACED, 4)
