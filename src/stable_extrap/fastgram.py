@@ -9,12 +9,14 @@ an endpoint term plus a correction series with weighted-Bernoulli
 coefficients: O(M) numbers and O(M^2) assembly, independent of N.
 
 The right-hand side b_m = sum_k y_k T_m(x_k) is the one O(MN) step. The
-grid is a union of translates of one set of local nodes, so rhs replaces
-each panel of w points by its moments against the fixed matrix T_l(t_i)
-(the anterpolation step of fast multipole and NUFFT-type methods), which is
-exact for the degree-M polynomials a panel carries: one BLAS product per block
-and parity at shapes fixed by w and _CHUNK, about NK/2 multiply-adds with
-K = M+1, and the three-term recurrence over only K proxies per panel.
+grid is a union of translates of one set of local nodes, so rhs moves each
+panel of w samples onto K = M+1 Chebyshev proxies with one fixed w x K
+matrix of Lagrange cardinal values (the anterpolation step of fast
+multipole and NUFFT-type methods), which is exact for the degree-M
+polynomials a panel carries: one BLAS product per block of panels and side
+of the grid's mirror, the left side a view of the samples and the right one
+a reversed copy in a buffer of one block, at shapes fixed by w, about NK
+multiply-adds, and the three-term recurrence over only K proxies per panel.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ import numpy as np
 
 from .basis import Basis, Grid, _recurrence
 
-_CHUNK = 16384  # rhs's block size: folded points, and proxies per batch
-# rhs panels: at most this many points, and the panel matrix T_l(t_i) at
+_CHUNK = 16384  # rhs: folded points per plain block, and proxies per batch
+# rhs panels: at most this many points, and the panel matrix l_k(t_i) at
 # most this many entries (512 KB).
 _PANEL_MAX = 2048
 _PANEL_ENTRIES = 65536
+# Samples per panel product in rhs, whatever _CHUNK is: the bits of a
+# taller product can depend on the BLAS thread count (see rhs).
+_PRODUCT_POINTS = 16384
 
 # B_{s+1}/(s+1)! for the odd correction orders s; even-order corrections
 # vanish identically. Under M <= sqrt(N)/2 each factor (k^2 - l^2)/(N(l+1/2))
@@ -130,37 +135,43 @@ def _panel_operators(n_coeffs: int, width: int):
     """The fixed, read-only matrices of a panel of `width` points and K = M+1
     proxies, cached per (K, w).
 
-    Returns (local_t, to_nodes, tau). local_t[a, i, j] is T_{2j+a}(t_{w/2+i}),
-    the even (a = 0) and odd (a = 1) degrees at the right half of the local
-    nodes t_i = (2i - (w-1))/w, each local_t[a] the contiguous (w/2) x ceil(K/2)
-    matrix _panel_moments reads. to_nodes[a, j, k] is (c/K) T_{2j+a}(tau_k),
-    c = 1 for degree 0 and 2 otherwise, at the K Chebyshev points
-    tau_k = cos((k+1/2)pi/K). Degrees past M are zero.
+    Returns (lam, tau). lam is the C-contiguous w x K anterpolation matrix
+    lam[i, k] = l_k(t_i): the Lagrange cardinal polynomials l_k of the K
+    Chebyshev points tau_k = cos((k+1/2)pi/K) at the local nodes
+    t_i = (2i - (w-1))/w, as l_k(t) = sum_{l<K} (c_l/K) T_l(t) T_l(tau_k)
+    with c_0 = 1 and c_l = 2 otherwise, summed by numpy's own einsum in a
+    fixed order.
     """
-    k, h = n_coeffs, width // 2
+    k = n_coeffs
     theta = (np.arange(k) + 0.5) * np.pi / k
     tau = np.cos(theta)
-    t = (2.0 * np.arange(h, width) - (width - 1)) / width  # exact in binary
-    rows = (k + 1) // 2
-    local_t = np.zeros((2, h, rows))
+    t = (2.0 * np.arange(width) - (width - 1)) / width  # exact in binary
+    cheb_at_t = np.empty((width, k))
     for m, t_m in enumerate(_recurrence(Basis.CHEBYSHEV, t, k - 1)):
-        local_t[m % 2, :, m // 2] = t_m
+        cheb_at_t[:, m] = t_m
     scale = np.full(k, 2.0 / k)
     scale[0] = 1.0 / k
-    cheb_at_nodes = scale[:, None] * np.cos(np.arange(k)[:, None] * theta)
-    to_nodes = np.zeros((2, rows, k))
-    to_nodes[0] = cheb_at_nodes[0::2]
-    to_nodes[1, :k // 2] = cheb_at_nodes[1::2]
-    local_t.flags.writeable = to_nodes.flags.writeable = tau.flags.writeable = False
-    return local_t, to_nodes, tau
+    cheb_at_tau = scale[:, None] * np.cos(np.arange(k)[:, None] * theta)
+    lam = np.einsum("im,mk->ik", cheb_at_t, cheb_at_tau)
+    lam.flags.writeable = tau.flags.writeable = False
+    return lam, tau
 
 
-def _panel_moments(folded: np.ndarray, local_t: np.ndarray, out: np.ndarray):
-    """out[a, p, q] = folded[a, p, q] @ local_t[a], the moments of P panels: one
-    BLAS product (2P x w/2) @ (w/2 x ceil(K/2)) per parity a, on views, no copy."""
-    h, rows = local_t.shape[1:]
-    for a in range(2):
-        np.matmul(folded[a].reshape(-1, h), local_t[a], out=out[a].reshape(-1, rows))
+def _proxy_weights(left: np.ndarray, right: np.ndarray, lam: np.ndarray,
+                   mirror: np.ndarray, scratch: np.ndarray, nu: np.ndarray):
+    """The proxy weights of P panels wholly left of the grid's middle: row q
+    of `left` (P x w) holds a panel's samples y_k and row q of `right` their
+    mirror images y_{N-k}, a view of y with negative strides that is copied
+    into the contiguous `mirror`. One BLAS product per side, left @ lam and
+    mirror @ lam into scratch[0] and scratch[1], then nu[0] gets the weights
+    of s = y_k + y_{N-k} and nu[1] those of d = y_k - y_{N-k}. Both products
+    sum the same terms in the same order, so mirrored (antisymmetric)
+    samples give d (s) weights of exactly zero, as a fold would."""
+    np.copyto(mirror, right)
+    np.matmul(left, lam, out=scratch[0])
+    np.matmul(mirror, lam, out=scratch[1])
+    np.add(scratch[0], scratch[1], out=nu[0])
+    np.subtract(scratch[0], scratch[1], out=nu[1])
 
 
 def _proxy_sums(nu: np.ndarray, first: int, width: int, n: int, tau: np.ndarray,
@@ -174,29 +185,27 @@ def _proxy_sums(nu: np.ndarray, first: int, width: int, n: int, tau: np.ndarray,
                         m_degree)
 
 
-def _folded_blocks(y: np.ndarray, s: np.ndarray, d: np.ndarray):
-    """For each block of up to s.size points of the left half, from k = lo,
-    write s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k} into s and d and yield
-    (lo, point count). The middle point of an even N goes into s only."""
+def _fold(y: np.ndarray, lo: int, s: np.ndarray, d: np.ndarray):
+    """Write s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k} for k = lo, lo+1, ...
+    into s and d, zero past the folded half k <= N/2. The middle point of an
+    even N goes into s only."""
     n = y.size - 1
     half = n // 2 + 1
+    count = min(s.size, half - lo)
     y_mirror = y[::-1]
-    width = s.size
-    for lo in range(0, half, width):
-        hi = min(lo + width, half)
-        sb, db = s[:hi - lo], d[:hi - lo]
-        np.add(y[lo:hi], y_mirror[lo:hi], out=sb)
-        np.subtract(y[lo:hi], y_mirror[lo:hi], out=db)
-        if hi == half and n % 2 == 0:
-            sb[-1], db[-1] = y[n // 2], 0.0
-        yield lo, hi - lo
+    np.add(y[lo:lo + count], y_mirror[lo:lo + count], out=s[:count])
+    np.subtract(y[lo:lo + count], y_mirror[lo:lo + count], out=d[:count])
+    s[count:] = 0.0
+    d[count:] = 0.0
+    if lo + count == half and n % 2 == 0:
+        s[count - 1], d[count - 1] = y[n // 2], 0.0
 
 
 def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     """Right-hand side T_M(x)^T y over the left half of a mirrored grid.
 
     Grid has checked the points to be x_k = 2k/N - 1, so
-    T_m(x_{N-k}) = (-1)^m T_m(x_k). The samples are folded into
+    T_m(x_{N-k}) = (-1)^m T_m(x_k). The samples fold into
     s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k} for k < N/2; the middle
     point of an even N goes into s only (s = y_{N/2}, d = 0, as T_m(0) = 0
     for odd m). Even degrees take T_m(x_k) s_k and odd degrees T_m(x_k) d_k
@@ -208,27 +217,38 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     with the same local nodes t_i = (2i - (w-1))/w in every panel (w is a
     power of two, at most 2048 and at most 65536/K with K = M+1, so the t_i
     are exact). On a panel each T_m, m <= M, is a polynomial q of degree
-    <= M in t, and sum_i s_i q(t_i) = sum_k nu_k q(tau_k) exactly in real
-    arithmetic. Here tau_k are the K Chebyshev points, mu_l = sum_i s_i
-    T_l(t_i) are the panel's moments and nu = mu diag(1/K, 2/K, ..., 2/K)
-    T(tau)^T, by the discrete orthogonality of T_0..T_M on the tau_k. So the
-    w points of a panel become K proxies z = c_p + (w/N) tau_k with weights
-    nu, and the recurrence runs over the proxies only. The symmetry
-    t_{w-1-i} = -t_i folds each panel into an even and an odd half, and the
-    moments of a block of P panels are then one BLAS product per parity,
-    (2P x w/2) @ (w/2 x ceil(K/2)) (_panel_moments). The cost is about NK/2
-    multiply-adds there, P K^2 for nu and P K M for the recurrence over the
-    PK proxies of P panels. The last panel is zero-padded and, because of
-    the fold, stays inside [-1, 1]. The proxies sit at the grid's positions
-    2k/N - 1, each formed as ((2pw + w - 1) + w tau_k)/N - 1 (w tau_k is
-    exact) rather than as the sum of the rounded c_p and (w/N) tau_k.
+    <= M in t, so q = sum_k q(tau_k) l_k over the K Chebyshev points tau_k
+    and their Lagrange cardinal polynomials l_k, and sum_i s_i q(t_i) =
+    sum_k nu_k q(tau_k) exactly in real arithmetic, with the proxy weights
+    nu_k = sum_i s_i l_k(t_i), a row of samples times the fixed w x K matrix
+    lam (_panel_operators). So the w points of a panel become K proxies
+    z = c_p + (w/N) tau_k, and the recurrence runs over the proxies only.
+    The weights are linear in the samples, so s and d are never formed for a
+    panel whose points all have 2k < N: a block of P such panels is one
+    (P x w) view of y, its mirror images y_{N-k} in the same order a second,
+    and _proxy_weights takes one BLAS product of each against lam and folds
+    only the PK weights. The mirror images are copied into a buffer of one
+    block, so that both products sum the same terms in the same order and
+    mirrored (antisymmetric) samples keep the odd (even) entries of b exactly
+    zero, as the parity of the fit needs; a product of the right side as it
+    lies, against the row-reversed lam, left them at about 1e-18 sum|y|.
+    The cost is about NK multiply-adds there, a copy of N/2 samples, and
+    PKM for the recurrence over the PK proxies of P panels. The
+    proxies sit at the grid's positions 2k/N - 1, each formed as
+    ((2pw + w - 1) + w tau_k)/N - 1 (w tau_k is exact) rather than as the
+    sum of the rounded c_p and (w/N) tau_k.
 
-    The first panel, at x = -1, is not compressed: its points go through the
-    recurrence themselves. There T_M' reaches M^2, so the half ulp by which a
-    grid point differs from 2k/N - 1, where a panel's polynomial is exact,
-    and the rounding of a proxy cost up to M^2 times their size; compressed,
-    that panel put b 1.04e-14 sum|y| from the long-double recurrence for
-    y = +-1 only at |x| > 0.99 (M = 127, N = 83606), against 4.0e-15 now.
+    Two panels keep an explicit w-point s and d (_fold). The last panel,
+    which holds the middle point of an even N or the zero padding past it,
+    goes through the same product as a (2 x w) block and, because of the
+    fold, stays inside [-1, 1]. The first panel, at x = -1, is not
+    compressed: its points go through the recurrence themselves. There T_M'
+    reaches M^2, so the half ulp by which a grid point differs from 2k/N - 1,
+    where a panel's polynomial is exact, and the rounding of a proxy cost
+    up to M^2 times their size; compressed, that panel put b 1.04e-14 sum|y|
+    from the long-double recurrence for y = +-1 only at |x| > 0.99
+    (M = 127, N = 83606), against 4.0e-15 now. When it is also the last
+    panel (half = w), it is summed once, as the first.
 
     Compression runs when half >= w and w >= 4K, so that it pays, and when
     M <= sqrt(N)/2, so that each panel is short on the scale of T_M's
@@ -236,17 +256,19 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     degree near t = +-1, where T_l(t) is most sensitive to rounding, and the
     panels lost up to 100 times more digits than the plain recurrence
     (M = 127, N = 1023). Otherwise every point is its own proxy and the same
-    recurrence runs over the points themselves.
+    recurrence runs over blocks of _CHUNK folded points.
 
-    Blocks hold max(1, _CHUNK // w) panels, or _CHUNK points when nothing is
-    compressed, and the proxies are summed in batches of about _CHUNK, so
-    the extra space is O(_CHUNK + Kw), about 2 MB, besides the panel
-    operators, cached per (K, w). The moments are the one BLAS product, whose
-    bits can depend on the thread count at some shapes; its shapes are fixed
-    by w and _CHUNK, and the tests pin the bits of all 2,816 under 1, 2 and 4
-    threads. Every other product and reduction is numpy's own single-threaded
-    einsum (or np.sum) in a fixed order. So the bits do not depend on the
-    number of BLAS threads.
+    Each product holds at most _PRODUCT_POINTS / w panels, whatever _CHUNK
+    is, and the proxies are summed in batches of about _CHUNK, so the extra
+    space is O(_CHUNK + _PRODUCT_POINTS + Kw), under 2 MB, besides the panel operators, cached
+    per (K, w). The products are the one use of BLAS, whose bits can depend
+    on the thread count: on OpenBLAS 0.3.31, a (P x w) @ (w x K) product gave
+    other bits under two threads than under one once P >= 33, at K = 36
+    (w = 1024) and at K = 101 and 126 (w = 512). Their shapes are fixed by
+    w and _PRODUCT_POINTS, and the tests pin the bits of all 2,816 under
+    each thread count they run. Every other product and reduction is numpy's
+    own single-threaded einsum (or np.sum) in a fixed order. So the bits do
+    not depend on the number of BLAS threads.
 
     Raises ValueError if the sample count differs from the grid's or if M < 0.
     """
@@ -261,40 +283,43 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     k = m_degree + 1
     w = _panel_width(k)
     if half < w or w < 4 * k or n < 4 * m_degree * m_degree:
-        w = 1  # every point is its own proxy
-    total = -(-half // w)  # panels, the last one zero-padded
-    panels = max(1, min(_CHUNK // w, total))
-    sd = np.empty((2, panels, w))
-    s, d = sd[0].reshape(-1), sd[1].reshape(-1)
-    b = np.zeros(k)
-    if w == 1:
-        for lo, count in _folded_blocks(y, s, d):
+        # every point is its own proxy
+        size = max(1, min(_CHUNK, half))
+        s, d = np.empty((2, size))
+        b = np.zeros(k)
+        for lo in range(0, half, size):
+            count = min(size, half - lo)
+            _fold(y, lo, s[:count], d[:count])
             b += _parity_sums(x[lo:lo + count], s[:count], d[:count], m_degree)
         return b
 
-    local_t, to_nodes, tau = _panel_operators(k, w)
-    h = w // 2
-    folded = np.empty((2, panels, 2, h))  # (parity in t, panel, s or d, point)
-    moments = np.empty((2, panels, 2, local_t.shape[2]))
-    batch = max(panels, min(_CHUNK // k, total))  # panels per proxy sum
+    lam, tau = _panel_operators(k, w)
+    edge = np.empty((2, w))  # s and d of the first panel, then of the last
+    _fold(y, 0, *edge)
+    b = _parity_sums(x[:w], *edge, m_degree)  # the first panel, at x = -1
+    total = -(-half // w)  # panels, the last one zero-padded
+    whole = (n + 1) // 2 // w  # panels whose points all have 2k < N
+    rows = _PRODUCT_POINTS // w  # panels per product
+    batch = max(1, min(_CHUNK // k, total - 1))  # panels per proxy sum
+    mirror = np.empty((rows, w))
+    scratch = np.empty((2, rows, k))
     nu = np.empty((2, batch, k))
-    first = filled = 0  # nu[:, :filled] holds panels first, first+1, ...
-    for lo, count in _folded_blocks(y, s, d):
-        p = -(-count // w)
-        s[count:p * w] = 0.0
-        d[count:p * w] = 0.0
-        if lo == 0:  # the first panel, at x = -1, is not compressed
-            b += _parity_sums(x[:w], s[:w], d[:w], m_degree)
-            s[:w] = 0.0
-            d[:w] = 0.0
-        if filled + p > batch:
-            b += _proxy_sums(nu[:, :filled], first, w, n, tau, m_degree)
+    panel = first = 1
+    filled = 0  # nu[:, :filled] holds panels first, first+1, ...
+    while panel < total:
+        if filled == batch:
+            b += _proxy_sums(nu, first, w, n, tau, m_degree)
             first, filled = first + filled, 0
-        block = sd[:, :p].swapaxes(0, 1)  # (panel, s or d, point)
-        np.add(block[..., h:], block[..., h - 1::-1], out=folded[0, :p])
-        np.subtract(block[..., h:], block[..., h - 1::-1], out=folded[1, :p])
-        _panel_moments(folded[:, :p], local_t, moments[:, :p])
-        np.einsum("apql,alk->qpk", moments[:, :p], to_nodes,
-                  out=nu[:, filled:filled + p])
+        lo = panel * w
+        if panel < whole:
+            p = min(rows, whole - panel, batch - filled)
+            _proxy_weights(y[lo:lo + p * w].reshape(p, w),
+                           y[::-1][lo:lo + p * w].reshape(p, w), lam,
+                           mirror[:p], scratch[:, :p], nu[:, filled:filled + p])
+        else:  # the last panel: the middle point or the zero padding
+            p = 1
+            _fold(y, lo, *edge)
+            nu[:, filled] = edge @ lam
         filled += p
+        panel += p
     return b + _proxy_sums(nu[:, :filled], first, w, n, tau, m_degree)

@@ -60,6 +60,32 @@ def long_double_rhs(grid, ys, m_deg):
     return ref
 
 
+def assert_near_long_double(n, m_deg):
+    """rhs within 1e-14 sum|y| of long_double_rhs on the N-point grid, for
+    Gaussian y and for y = +-1 (random signs) only at |x| > 0.99, where the
+    recurrence rounds worst, both drawn from the seed N."""
+    grid = make_grid(GridKind.EQUISPACED, n)
+    rng = np.random.default_rng(n)
+    signs = rng.choice([-1.0, 1.0], size=n + 1)
+    ys = (rng.normal(size=n + 1), np.where(np.abs(grid.points) > 0.99, signs, 0.0))
+    for y, ref in zip(ys, long_double_rhs(grid, ys, m_deg)):
+        err = np.max(np.abs(rhs(grid, y, m_deg) - ref))
+        assert err <= 1e-14 * np.sum(np.abs(y)), (n, m_deg, float(err))
+
+
+def long_double_chebyshev(z, m_deg):
+    """Oracle: the len(z) x (M+1) matrix T_l(z_i) by the three-term
+    recurrence in long double."""
+    zl = np.asarray(z, dtype=np.longdouble)
+    out = np.empty((zl.size, m_deg + 1), dtype=np.longdouble)
+    out[:, 0] = 1
+    if m_deg:
+        out[:, 1] = zl
+    for l in range(2, m_deg + 1):
+        out[:, l] = 2 * zl * out[:, l - 1] - out[:, l - 2]
+    return out
+
+
 def exact_weights(s_max):
     """Oracle: B_{s+1}/(s+1)! for odd s <= s_max, from bernoulli_numbers."""
     b = bernoulli_numbers(s_max + 1)
@@ -195,6 +221,23 @@ class TestRhs:
         assert b[0] == pytest.approx(0.0, abs=1e-15)
         assert b[1] == pytest.approx(float(np.sum(grid.points ** 2)), rel=1e-15)
 
+    @pytest.mark.parametrize("n, m_deg", [(4098, 32), (40_001, 27), (62_500, 125),
+                                          (1_000_000, 35)])
+    def test_parity_of_mirrored_samples_exact(self, n, m_deg):
+        """Mirrored samples (y_k = y_{N-k}) give odd entries of b that are
+        exactly zero, and antisymmetric ones (y_k = -y_{N-k}) even entries,
+        on the panel path too, with several products per proxy batch at the
+        larger sizes: the fit's parity rests on it."""
+        w = fastgram._panel_width(m_deg + 1)
+        assert n // 2 + 1 >= 2 * w >= 8 * (m_deg + 1) and n >= 4 * m_deg ** 2
+        grid = make_grid(GridKind.EQUISPACED, n)
+        y = np.random.default_rng(n).normal(size=n + 1)
+        for sign, other in ((1.0, slice(1, None, 2)), (-1.0, slice(0, None, 2))):
+            mirrored = y + sign * y[::-1]
+            b = rhs(grid, mirrored, m_deg)
+            assert np.all(b[other] == 0.0), (sign, b[other])
+            assert np.any(b != 0.0)
+
     def test_matches_dense_product(self, monkeypatch):
         for n in FOLD_N:
             grid = make_grid(GridKind.EQUISPACED, n)
@@ -216,6 +259,18 @@ class TestRhs:
                 np.testing.assert_allclose(
                     rhs_in_chunks(monkeypatch, grid, y, 7, chunk), full, rtol=1e-13,
                     err_msg=f"N={n}, chunk={chunk}")
+        # Panels: _CHUNK sets only the proxy batches here, down to one panel
+        # per batch (and so per product) at _CHUNK = 1.
+        n, m_deg = 40_001, 27
+        w = fastgram._panel_width(m_deg + 1)
+        assert n // 2 + 1 >= 2 * w >= 8 * (m_deg + 1) and n >= 4 * m_deg ** 2
+        grid = make_grid(GridKind.EQUISPACED, n)
+        y = np.random.default_rng(9).normal(size=n + 1)
+        full = rhs_in_chunks(monkeypatch, grid, y, m_deg, 10 ** 9)
+        for chunk in (1, 5 * (m_deg + 1), w, 3 * w):
+            np.testing.assert_allclose(
+                rhs_in_chunks(monkeypatch, grid, y, m_deg, chunk), full, rtol=1e-13,
+                err_msg=f"N={n}, chunk={chunk}")
 
     @pytest.mark.parametrize("moved, first_k", [(3, 3), (8, 2)])
     def test_asymmetric_grid_rejected(self, moved, first_k):
@@ -254,7 +309,8 @@ class TestRhs:
     def test_bits_independent_of_blas_threads(self, outputs_per_blas_thread_count):
         """OpenBLAS splits dot products longer than about 1e4 across threads;
         with chunks longer than that, rhs must still give the same bits under
-        one, two and four BLAS threads."""
+        OPENBLAS_NUM_THREADS 1, 2 and 4 (the fixture checks that at least two
+        distinct thread counts ran; 4 runs as 2 on a 2-processor host)."""
         n, m_deg = 300_000, 10
         chunk = fastgram._CHUNK
         assert chunk > 10 ** 4 and (n // 2 + 1) // chunk >= 3
@@ -272,12 +328,13 @@ class TestRhs:
     def test_bits_independent_of_blas_threads_at_benchmark_shapes(
             self, outputs_per_blas_thread_count):
         """At the benchmark's shapes (N, M) = (4e6, 27), (62500, 125) and
-        (1e6, 35) the panel contraction runs, and its bits are the same under
-        one, two and four BLAS threads, with the default _CHUNK and with
-        every panel in one block. An unfolded moment product, one
-        (P x w) @ (w x K) matmul per block without the in-panel parity fold,
-        gave other bits under two threads at (62500, 125) and (40000, 100)
-        with every panel in one block."""
+        (1e6, 35) the panel products run, and rhs gives the same bits under
+        OPENBLAS_NUM_THREADS 1, 2 and 4, with the default _CHUNK and with
+        every panel in one proxy batch. A product's height does not follow
+        _CHUNK: on OpenBLAS 0.3.31 a (P x w) @ (w x K) product gave other
+        bits under two threads than under one once P >= 33, at K = 36
+        (w = 1024) and at K = 101 and 126 (w = 512), so with every panel in
+        one product the _CHUNK = 10**9 arm failed at (62500, 125)."""
         shapes = ((4_000_000, 27), (62_500, 125), (1_000_000, 35))
         for n, m_deg in shapes:
             w = fastgram._panel_width(m_deg + 1)
@@ -300,10 +357,12 @@ class TestRhs:
 
     def test_moment_product_bits_independent_of_blas_threads(
             self, outputs_per_blas_thread_count):
-        """_panel_moments, rhs's one BLAS product, gives the same bits under
-        one, two and four BLAS threads at every shape rhs can issue under
-        the default _CHUNK: each K = M+1 that compresses (w >= 4K, w from
-        _panel_width) and each block of p = 1 .. _CHUNK // w panels."""
+        """_proxy_weights's two BLAS products, left @ lam and mirror @ lam,
+        and lam itself, have the same bits under
+        OPENBLAS_NUM_THREADS 1, 2 and 4 at every shape rhs can issue: each
+        K = M+1 that compresses (w >= 4K, w from _panel_width) and each
+        block of P = 1 .. _PRODUCT_POINTS // w panels. The last panel's
+        (2 x w) @ (w x K) product is the P = 2 shape against lam."""
         script = (
             "import hashlib, numpy as np\n"
             "from stable_extrap import fastgram\n"
@@ -311,13 +370,15 @@ class TestRhs:
             "rng = np.random.default_rng(0)\n"
             "k = 1\n"
             "while (w := fastgram._panel_width(k)) >= 4 * k:\n"
-            "    local_t = fastgram._panel_operators(k, w)[0]\n"
-            "    panels = fastgram._CHUNK // w\n"
-            "    folded = rng.normal(size=(2, panels, 2, w // 2))\n"
-            "    out = np.empty((2, panels, 2, local_t.shape[2]))\n"
-            "    for p in range(1, panels + 1):\n"
-            "        fastgram._panel_moments(folded[:, :p], local_t, out[:, :p])\n"
-            "        digest.update(out[:, :p].tobytes())\n"
+            "    lam, _ = fastgram._panel_operators(k, w)\n"
+            "    digest.update(lam.tobytes())\n"
+            "    rows = fastgram._PRODUCT_POINTS // w\n"
+            "    left, right, mirror = rng.normal(size=(3, rows, w))\n"
+            "    scratch, nu = np.empty((2, 2, rows, k))\n"
+            "    for p in range(1, rows + 1):\n"
+            "        fastgram._proxy_weights(left[:p], right[:p, ::-1], lam,\n"
+            "                                mirror[:p], scratch[:, :p], nu[:, :p])\n"
+            "        digest.update(scratch[:, :p].tobytes() + nu[:, :p].tobytes())\n"
             "        shapes += 1\n"
             "    k += 1\n"
             "print(shapes, digest.hexdigest())\n"
@@ -328,12 +389,31 @@ class TestRhs:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_panel_operators_cached_read_only(self):
-        local_t, to_nodes, tau = fastgram._panel_operators(126, 512)
-        assert fastgram._panel_operators(126, 512)[0] is local_t
-        assert local_t.shape == (2, 256, 63) and local_t.flags.c_contiguous
-        for a in (local_t, to_nodes, tau):
+        lam, tau = fastgram._panel_operators(126, 512)
+        assert fastgram._panel_operators(126, 512)[0] is lam
+        assert fastgram._panel_operators(126, 1024)[0] is not lam
+        assert fastgram._panel_operators(125, 512)[0] is not lam
+        assert lam.shape == (512, 126) and lam.flags.c_contiguous
+        for a in (lam, tau):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
+
+    @pytest.mark.parametrize("n_coeffs", [1, 2, 28, 32, 33, 36, 64, 65, 101, 126, 128])
+    def test_anterpolation_matrix(self, n_coeffs):
+        """lam[i, k] = l_k(t_i), the Lagrange cardinal polynomials of the K
+        Chebyshev points at the local nodes, at w = 2048, 1024 and 512: each
+        row sums to 1 (l_0 + ... + l_M = 1), and lam T(tau) reproduces
+        T_l(t_i) for every l <= M, both against long-double references.
+        Over every K = 1..128 that compresses, the largest errors were
+        5.1e-14 (row sums) and 1.3e-13 (T_l); the bounds leave about 2x."""
+        w = fastgram._panel_width(n_coeffs)
+        assert w >= 4 * n_coeffs
+        lam, tau = fastgram._panel_operators(n_coeffs, w)
+        exact = lam.astype(np.longdouble)
+        assert np.max(np.abs(exact.sum(axis=1) - 1)) <= 1e-13
+        t = (2.0 * np.arange(w) - (w - 1)) / w
+        cheb_t, cheb_tau = (long_double_chebyshev(z, n_coeffs - 1) for z in (t, tau))
+        assert np.max(np.abs(exact @ cheb_tau - cheb_t)) <= 3e-13
 
     @pytest.mark.parametrize("n, m_deg", [(4_000_000, 27), (62_500, 125), (1_000_000, 35)])
     def test_extra_memory_bounded(self, n, m_deg):
@@ -392,14 +472,27 @@ class TestRhs:
         Gaussian y and for y = +-1 only at |x| > 0.99."""
         for m_deg in (31, 32, 63, 64, 127, 128):
             for n in (4 * m_deg ** 2, 4 * m_deg ** 2 + 1, 16 * m_deg ** 2):
-                grid = make_grid(GridKind.EQUISPACED, n)
-                rng = np.random.default_rng(n)
-                signs = rng.choice([-1.0, 1.0], size=n + 1)
-                ys = (rng.normal(size=n + 1),
-                      np.where(np.abs(grid.points) > 0.99, signs, 0.0))
-                for y, ref in zip(ys, long_double_rhs(grid, ys, m_deg)):
-                    err = np.max(np.abs(rhs(grid, y, m_deg) - ref))
-                    assert err <= 1e-14 * np.sum(np.abs(y)), (n, m_deg, float(err))
+                assert_near_long_double(n, m_deg)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than float64 here")
+    @pytest.mark.parametrize("m_deg", [27, 31, 63, 125, 127])
+    def test_matches_long_double_recurrence_at_panel_multiples(self, m_deg):
+        """The bound of the Hypothesis test above at fixed sizes around
+        multiples of the panel width: half = jw - 1, jw and jw + 1 for
+        j = 1, 2, 3 and for the first two j at which the panels run
+        (N >= 4M^2), each at an odd and an even N, for Gaussian y and for
+        y = +-1 only at |x| > 0.99. These pin the first panel that is also
+        the last (half = w, N even), an exact multiple that leaves no padded
+        panel (half = jw, N odd) and a last panel that holds only the middle
+        point (half = jw + 1, N even)."""
+        w = fastgram._panel_width(m_deg + 1)
+        first_j = -(-(2 * m_deg ** 2 + 2) // w)  # jw - 1 >= 2M^2 + 1
+        for j in sorted({1, 2, 3, first_j, first_j + 1}):
+            for half in (j * w - 1, j * w, j * w + 1):
+                for n in (2 * half - 2, 2 * half - 1):
+                    if n >= 4 * m_deg ** 2:
+                        assert_near_long_double(n, m_deg)
 
     def test_length_mismatch_rejected(self):
         grid = make_grid(GridKind.EQUISPACED, 4)
