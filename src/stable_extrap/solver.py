@@ -73,17 +73,36 @@ def psi_table(n: int) -> np.ndarray:
 def basis_change_matrix(m_degree: int) -> np.ndarray:
     """Matrix S with c_cheb = S c_leg for degree-M coefficient vectors: upper
     triangular, nonnegative, zero where i + j is odd, and ||S||_2 < 5."""
+    s = np.zeros((m_degree + 1, m_degree + 1))
+    for p, block in enumerate(_basis_change_blocks(m_degree)):
+        s[p::2, p::2] = block
+    return s
+
+
+def _basis_change_blocks(m_degree: int) -> list[np.ndarray]:
+    """S[p::2, p::2] for p = 0, 1 (one block at M = 0), built without S.
+
+    Row i of S holds S[i, i + 2h] = (2/pi) psi(h) psi(i + h), so block p has
+    entry (a, b) = (2/pi) psi(b - a) psi(p + a + b) for b >= a: a Toeplitz
+    factor times a Hankel one, both zero-copy windows on psi_table. Row 0 is
+    psi(h)^2 / pi instead. Each entry is rounded as in the row formula.
+    """
     if m_degree < 0:
         raise ValueError("degree must be nonnegative")
     table = psi_table(m_degree + 1)
-    s = np.zeros((m_degree + 1, m_degree + 1))
-    for j in range(0, m_degree + 1, 2):
-        s[0, j] = table[j // 2] ** 2 / math.pi
-    for i in range(1, m_degree + 1):
-        # Row i holds S[i, i + 2h] = (2/pi) psi(h) psi(i + h).
-        h = np.arange((m_degree - i) // 2 + 1)
-        s[i, i::2] = 2.0 / math.pi * table[h] * table[h + i]
-    return s
+    windows = np.lib.stride_tricks.sliding_window_view
+    blocks = []
+    for p in range(min(2, m_degree + 1)):
+        n = (m_degree - p) // 2 + 1
+        # toeplitz[a, b] = (2/pi) psi(b - a), and 0 below the diagonal.
+        padded = np.concatenate((np.zeros(n - 1), 2.0 / math.pi * table[:n]))
+        toeplitz = windows(padded, n)[::-1]
+        block = np.multiply(toeplitz, windows(table[p:p + 2 * n - 1], n),
+                            out=np.empty((n, n)))
+        if p == 0:
+            block[0] = table[:n] ** 2 / math.pi
+        blocks.append(block)
+    return blocks
 
 
 def legendre_to_chebyshev(series: LegendreSeries) -> ChebyshevSeries:

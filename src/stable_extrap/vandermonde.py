@@ -1,7 +1,9 @@
 """Design matrices on the equispaced grid, naive Gram products, and spectra.
 
-fit never forms the dense Gram; verify and experiments take design spectra
-from it, and the tests keep it as the reference for the fast Gram.
+fit never forms the dense Gram. verify's interpolation sandwich squares its
+square design matrix with it, and the tests keep it as the reference for the
+fast Gram and for the design spectra, which verify and experiments take from
+the SVD of V.
 
 spectral_report, which fit uses for sigma_min and kappa, takes the
 extreme eigenvalues from LAPACK's symmetric eigensolver (np.linalg.eigvalsh).
@@ -236,20 +238,29 @@ def spectral_report(g: np.ndarray) -> SpectralReport:
 def lebesgue_constant(grid: Grid) -> float:
     """Probe-based lower bound on the Lebesgue constant of the grid.
 
-    Evaluates sum_j |l_j(x)| at 500(N+1) + 1 equispaced probes of [-1, 1],
-    with each Lagrange basis polynomial computed by its direct product
-    formula. Dense probing (no derivative-based maximization) slightly
-    undershoots the true supremum, which callers account for.
+    Evaluates sum_j |l_j(x)| at 500(N+1) + 1 equispaced probes of [-1, 1].
+    The numerator prod_{k != j} (x - x_k) of each Lagrange basis polynomial
+    is a prefix product over the nodes before j times a suffix product over
+    those after it, from one forward and one backward pass, so each probe
+    costs O(N), not O(N^2). Nothing divides by x - x_j, so a probe on a node
+    (every 625th at N = 4) needs no special case. Dense probing (no
+    derivative-based maximization) slightly undershoots the true supremum,
+    which callers account for.
     """
     nodes = grid.points
     n1 = nodes.size
     probe_count = 500 * n1 + 1
     probes = np.linspace(-1.0, 1.0, probe_count)
-    diffs = probes[:, None] - nodes[None, :]
+    diffs = probes[None, :] - nodes[:, None]
+    suffix = np.empty((n1, probe_count))  # suffix[j] = prod_{k > j} (x - x_k)
+    suffix[-1] = 1.0
+    for k in range(n1 - 1, 0, -1):
+        np.multiply(suffix[k], diffs[k], out=suffix[k - 1])
+    prefix = np.ones(probe_count)  # prod_{k < j} (x - x_k)
     total = np.zeros(probe_count)
     for j in range(n1):
         mask = np.arange(n1) != j
-        numer = np.prod(diffs[:, mask], axis=1)
         denom = float(np.prod(nodes[j] - nodes[mask]))
-        total += np.abs(numer / denom)
+        total += np.abs(prefix * suffix[j] / denom)
+        prefix *= diffs[j]
     return float(np.max(total))

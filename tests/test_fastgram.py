@@ -417,15 +417,19 @@ class TestRhs:
 
     @pytest.mark.parametrize("n, m_deg", [(4_000_000, 27), (62_500, 125), (1_000_000, 35)])
     def test_extra_memory_bounded(self, n, m_deg):
+        # Cold, with the panel operators built inside the traced call, and
+        # warm, with them cached: 1.88 and 0.96 MB measured at (4e6, 27).
         grid = make_grid(GridKind.EQUISPACED, n)
         y = np.random.default_rng(1).normal(size=n + 1)
-        tracemalloc.start()
-        try:
-            rhs(grid, y, m_deg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3e6, peak
+        fastgram._panel_operators.cache_clear()
+        for state in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                rhs(grid, y, m_deg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3e6, (state, peak)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                         reason="long double is no wider than float64 here")

