@@ -63,11 +63,19 @@ def _integral_half_sums(m_degree: int, n_samples: int) -> np.ndarray:
 def _gram_from_half_sums(h: np.ndarray) -> np.ndarray:
     """The matrix G[m, n] = h[(m+n)/2] + h[|m-n|/2] for m+n even and 0 for
     m+n odd, with m, n = 0..len(h)-1. The two terms are added in the same
-    order at (m, n) and (n, m), so G is exactly symmetric."""
-    idx = np.arange(h.size)
-    t = idx[:, None] + idx[None, :]
-    g = h[t // 2] + h[np.abs(idx[:, None] - idx[None, :]) // 2]
-    g[t % 2 == 1] = 0.0
+    order at (m, n) and (n, m), so G is exactly symmetric.
+
+    Block p = G[p::2, p::2] has entry (a, b) = h[p+a+b] + h[|a-b|]: a Hankel
+    plus a Toeplitz zero-copy window on h, added into a zeroed G."""
+    size = h.size
+    g = np.zeros((size, size))
+    windows = np.lib.stride_tricks.sliding_window_view
+    for p in range(min(2, size)):
+        n = (size - 1 - p) // 2 + 1
+        # toeplitz[a, b] = h[|a - b|]: padded[j + n - 1] = h[|j|].
+        padded = np.concatenate((h[n - 1:0:-1], h[:n]))
+        toeplitz = windows(padded, n)[::-1]
+        np.add(windows(h[p:p + 2 * n - 1], n), toeplitz, out=g[p::2, p::2])
     return g
 
 
@@ -174,15 +182,14 @@ def _proxy_weights(left: np.ndarray, right: np.ndarray, lam: np.ndarray,
     np.subtract(scratch[0], scratch[1], out=nu[1])
 
 
-def _proxy_sums(nu: np.ndarray, first: int, width: int, n: int, tau: np.ndarray,
-                m_degree: int) -> np.ndarray:
-    """_parity_sums over the proxies of panels first, first+1, ...: panel p's
-    K proxies sit at c_p + (w/N) tau, c_p = (2pw + w - 1)/N - 1, with the
-    even and odd weights nu[0, p - first] and nu[1, p - first]."""
+def _proxies(nu: np.ndarray, first: int, width: int, n: int, tau: np.ndarray):
+    """The points and the even and odd weights of the proxies of panels
+    first, first+1, ..., as _parity_sums takes them: panel p's K proxies sit
+    at c_p + (w/N) tau, c_p = (2pw + w - 1)/N - 1, with the weights
+    nu[0, p - first] and nu[1, p - first]."""
     p = first + np.arange(nu.shape[1])
     z = ((2.0 * width * p + (width - 1))[:, None] + width * tau) / n - 1.0
-    return _parity_sums(z.reshape(-1), nu[0].reshape(-1), nu[1].reshape(-1),
-                        m_degree)
+    return z.reshape(-1), nu[0].reshape(-1), nu[1].reshape(-1)
 
 
 def _fold(y: np.ndarray, lo: int, s: np.ndarray, d: np.ndarray):
@@ -242,13 +249,16 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     which holds the middle point of an even N or the zero padding past it,
     goes through the same product as a (2 x w) block and, because of the
     fold, stays inside [-1, 1]. The first panel, at x = -1, is not
-    compressed: its points go through the recurrence themselves. There T_M'
-    reaches M^2, so the half ulp by which a grid point differs from 2k/N - 1,
-    where a panel's polynomial is exact, and the rounding of a proxy cost
-    up to M^2 times their size; compressed, that panel put b 1.04e-14 sum|y|
-    from the long-double recurrence for y = +-1 only at |x| > 0.99
-    (M = 127, N = 83606), against 4.0e-15 now. When it is also the last
-    panel (half = w), it is summed once, as the first.
+    compressed: its w points enter the recurrence themselves, as extra
+    points ahead of the last proxy batch in the same _parity_sums call, so
+    the recurrence runs once over both rather than a second time for w
+    points. There T_M' reaches M^2, so the half ulp by which a grid point
+    differs from 2k/N - 1, where a panel's polynomial is exact, and the
+    rounding of a proxy cost up to M^2 times their size; compressed, that
+    panel put b 1.04e-14 sum|y| from the long-double recurrence for y = +-1
+    only at |x| > 0.99 (M = 127, N = 83606), against 4.0e-15 uncompressed.
+    When it is also the last panel (half = w), it is summed once, as the
+    first, with no proxies beside it.
 
     Compression runs when half >= w and w >= 4K, so that it pays, and when
     M <= sqrt(N)/2, so that each panel is short on the scale of T_M's
@@ -294,9 +304,10 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
         return b
 
     lam, tau = _panel_operators(k, w)
-    edge = np.empty((2, w))  # s and d of the first panel, then of the last
-    _fold(y, 0, *edge)
-    b = _parity_sums(x[:w], *edge, m_degree)  # the first panel, at x = -1
+    head = np.empty((2, w))  # s and d of the first panel, at x = -1
+    _fold(y, 0, *head)
+    edge = np.empty((2, w))  # s and d of the last panel
+    b = np.zeros(k)
     total = -(-half // w)  # panels, the last one zero-padded
     whole = (n + 1) // 2 // w  # panels whose points all have 2k < N
     rows = _PRODUCT_POINTS // w  # panels per product
@@ -308,7 +319,7 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     filled = 0  # nu[:, :filled] holds panels first, first+1, ...
     while panel < total:
         if filled == batch:
-            b += _proxy_sums(nu, first, w, n, tau, m_degree)
+            b += _parity_sums(*_proxies(nu, first, w, n, tau), m_degree)
             first, filled = first + filled, 0
         lo = panel * w
         if panel < whole:
@@ -322,4 +333,8 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
             nu[:, filled] = edge @ lam
         filled += p
         panel += p
-    return b + _proxy_sums(nu[:, :filled], first, w, n, tau, m_degree)
+    # The first panel's points join the last batch's proxies.
+    points, even_w, odd_w = _proxies(nu[:, :filled], first, w, n, tau)
+    return b + _parity_sums(np.concatenate((x[:w], points)),
+                            np.concatenate((head[0], even_w)),
+                            np.concatenate((head[1], odd_w)), m_degree)

@@ -133,9 +133,13 @@ def fit(samples: SampleSet, m_degree: int,
     M = 20, N = 100) and the paper's conditioning bound does not hold. The
     Chebyshev Gram G and b take O(M^2 + MN) in either basis: V_leg = V_cheb S
     with S = basis_change_matrix(M), so a Legendre fit solves
-    S^T G S c = S^T b. An unshifted Cholesky solves the system, which is
-    verified to a residual of 1e-10 * ||b|| (else SolverError); sigma_min and
-    kappa come from the solved Gram.
+    S^T G S c = S^T b. On the mirrored grid every entry of either Gram with
+    m+n odd is exactly 0, so the system splits into the even-degree and the
+    odd-degree equations, g[p::2, p::2] c[p::2] = b[p::2] for p = 0, 1,
+    which an unshifted Cholesky solves apart at half size. The interleaved
+    solution is verified against the whole system to a residual of
+    1e-10 * ||b|| (else SolverError, also for a NaN residual, as overflowing
+    samples give); sigma_min and kappa come from the solved Gram.
     """
     basis = Basis(basis)
     n = samples.n
@@ -150,10 +154,12 @@ def fit(samples: SampleSet, m_degree: int,
     b = rhs(samples.grid, samples.values, m_degree)
     if basis == Basis.LEGENDRE:
         b = np.einsum("ki,k->i", basis_change_matrix(m_degree), b)
-    coeffs = _cholesky_solve(g, b)
+    coeffs = np.empty(m_degree + 1)
+    for p in range(min(2, m_degree + 1)):
+        coeffs[p::2] = _cholesky_solve(g[p::2, p::2], b[p::2])
 
     resid = float(np.linalg.norm(g @ coeffs - b))
-    if resid > 1e-10 * max(float(np.linalg.norm(b)), 1e-300):
+    if not resid <= 1e-10 * max(float(np.linalg.norm(b)), 1e-300):
         raise SolverError(
             f"normal-equation residual {resid:.3e} exceeds tolerance "
             f"(M={m_degree}, N={n})"
@@ -167,9 +173,10 @@ def fit(samples: SampleSet, m_degree: int,
 
 def _cholesky_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve g c = b through g = L L^T; raises LinAlgError unless g is
-    positive definite, which fit's Grams are (tested up to M = 600 at
-    N = 4M^2). numpy has no triangular solver, so L and L^T go through
-    np.linalg.solve, whose O(M^3) LU costs well under a millisecond at the
-    degrees used here."""
+    positive definite, which fit's Grams, and so their parity blocks, are
+    (tested up to M = 600 at N = 4M^2). fit passes one parity block at a
+    time, of order about M/2. numpy has no triangular solver, so L and L^T
+    go through np.linalg.solve, whose O(M^3) LU costs well under a
+    millisecond at the degrees used here."""
     low = np.linalg.cholesky(g)
     return np.linalg.solve(low.T, np.linalg.solve(low, b))

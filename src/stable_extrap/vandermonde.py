@@ -6,12 +6,15 @@ fast Gram and for the design spectra, which verify and experiments take from
 the SVD of V.
 
 spectral_report, which fit uses for sigma_min and kappa, takes the
-extreme eigenvalues from LAPACK's symmetric eigensolver (np.linalg.eigvalsh).
-Its bits are the same under 1 and 2 BLAS threads up to M = 125 (tested), and
-differ at M = 300 and 600. The cyclic Jacobi iteration defined here, with its
-deterministic round-robin rotation order, serves the one certification check
-whose matrix is too ill conditioned for LAPACK's absolute accuracy (the
-interpolation sandwich). The power iteration serves the basis-change norms:
+extreme eigenvalues from LAPACK's symmetric eigensolver (np.linalg.eigvalsh),
+on fit's Grams one solve per parity block of order about M/2. At N = 4M^2
+its bits, like those of fit's block Cholesky solves, were the same under 1
+and 2 BLAS threads up to M = 250 (tested to M = 125) and differed at
+M = 300, 500 and 600; at M = 400 only sigma_min agreed. The whole-matrix
+solves differed from M = 200 on. The cyclic Jacobi iteration defined here,
+with its deterministic round-robin rotation order, serves the one
+certification check whose matrix is too ill conditioned for LAPACK's
+absolute accuracy (the interpolation sandwich). The power iteration serves the basis-change norms:
 dominant_eigenvalue applies a symmetric matrix, dominant_singular_value
 applies b^T (b v) without forming b^T b. Each step is one or two
 matrix-vector products, whose bits did not depend on the BLAS thread count
@@ -219,6 +222,12 @@ def spectral_report(g: np.ndarray) -> SpectralReport:
     eigenvalue. Under M <= sqrt(N)/2 the Chebyshev Gram has
     kappa <= 187.5(2M+1), which makes that a relative error of about
     eps * kappa in lambda_min as well.
+
+    When every entry of g with m+n odd is exactly 0, as in fit's Grams on
+    the mirrored grid, g is the direct sum of its even and odd parity blocks
+    g[0::2, 0::2] and g[1::2, 1::2], and the extreme eigenvalues come from
+    the two half-size eigensolves (an empty odd block at M = 0 has none).
+    Any other g is solved whole.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -226,9 +235,13 @@ def spectral_report(g: np.ndarray) -> SpectralReport:
     scale = float(np.max(np.abs(g)))
     if scale > 0 and float(np.max(np.abs(g - g.T))) > 1e-12 * scale:
         raise ValueError("Gram matrix is not symmetric to 1e-12 relative")
-    lam = np.linalg.eigvalsh(g)
-    lam_max = max(float(lam[-1]), 0.0)
-    lam_min = max(float(lam[0]), 0.0)
+    if np.any(g[0::2, 1::2]) or np.any(g[1::2, 0::2]):
+        blocks = [g]
+    else:
+        blocks = [g[p::2, p::2] for p in range(min(2, g.shape[0]))]
+    spectra = [np.linalg.eigvalsh(block) for block in blocks]
+    lam_max = max(max(float(lam[-1]) for lam in spectra), 0.0)
+    lam_min = max(min(float(lam[0]) for lam in spectra), 0.0)
     sigma_max = math.sqrt(lam_max)
     sigma_min = math.sqrt(lam_min)
     cond2 = sigma_max / sigma_min if sigma_min > 0 else math.inf

@@ -18,6 +18,8 @@ from stable_extrap.basis import cheb_eval
 from stable_extrap.cli import CliError, json_dumps, main, read_samples_csv
 
 RHO_SILVER = 1.0 + math.sqrt(2.0)
+# Five finite samples on the grid of N = 4 whose mirror fold overflows.
+OVERFLOWING_CSV = "x,y\n-1.0,1e308\n-0.5,-1e308\n0.0,1e308\n0.5,-1e308\n1.0,1e308\n"
 
 
 def write_samples(path, n, fn, header=True):
@@ -320,6 +322,18 @@ class TestFitCommand:
         assert exc.value.code == 2
         assert "--gram" in capsys.readouterr().err
 
+    def test_overflowing_samples_exit_3(self, tmp_path, capsys):
+        # Finite samples of size 1e308 overflow the mirror fold, so b and
+        # the residual are NaN; the residual check must fail, not pass.
+        path = tmp_path / "big.csv"
+        path.write_text(OVERFLOWING_CSV)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["fit", "--input", str(path), "--M", "1",
+                         "--output", str(tmp_path / "o.json")])
+        assert code == 3
+        assert "normal-equation residual nan exceeds tolerance" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestExtrapolateCommand:
     def test_point_records(self, tmp_path):
@@ -401,6 +415,17 @@ class TestExtrapolateCommand:
         doc = json.loads(out_path.read_text())
         assert doc["M_star"] == 40
         assert doc["points"][0]["M_star"] == 40
+
+    def test_overflowing_samples_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(OVERFLOWING_CSV)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["extrapolate", "--input", str(path), "--rho", "2",
+                         "--eps", "1e-10", "--Q", "1e308", "--at", "1.1",
+                         "--output", str(tmp_path / "o.json")])
+        assert code == 3
+        assert "normal-equation residual nan exceeds tolerance" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestVerifyCommand:

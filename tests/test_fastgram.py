@@ -86,6 +86,17 @@ def long_double_chebyshev(z, m_deg):
     return out
 
 
+def gram_from_half_sums_oracle(h):
+    """G[m, n] = h[(m+n)/2] + h[|m-n|/2], 0 for m+n odd, by fancy indexing
+    over the whole matrix and a parity mask: the operands and order of
+    fastgram._gram_from_half_sums's parity blocks."""
+    idx = np.arange(h.size)
+    t = idx[:, None] + idx[None, :]
+    g = h[t // 2] + h[np.abs(idx[:, None] - idx[None, :]) // 2]
+    g[t % 2 == 1] = 0.0
+    return g
+
+
 def exact_weights(s_max):
     """Oracle: B_{s+1}/(s+1)! for odd s <= s_max, from bernoulli_numbers."""
     b = bernoulli_numbers(s_max + 1)
@@ -199,6 +210,22 @@ class TestGramFast:
             grid = make_grid(GridKind.EQUISPACED, n)
             direct = float(np.sum(grid.points ** 2))
             assert gram_fast(1, n)[1, 1] == pytest.approx(direct, rel=1e-15)
+
+    def test_blocks_bit_identical_to_fancy_index_oracle(self, monkeypatch):
+        # The windowed parity blocks add the same two entries of h in the
+        # same order as the whole-matrix oracle, so every bit agrees: for
+        # random h, for gram_fast at N = 4M^2 and for verify's F+C matrix.
+        for m_deg in [*range(131), 300, 600]:
+            h = np.random.default_rng(m_deg).normal(size=m_deg + 1)
+            g = fastgram._gram_from_half_sums(h)
+            assert g.tobytes() == gram_from_half_sums_oracle(h).tobytes(), m_deg
+            n = max(1, 4 * m_deg * m_deg)
+            fast, fc = gram_fast(m_deg, n), fc_matrix(m_deg, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(fastgram, "_gram_from_half_sums", gram_from_half_sums_oracle)
+                assert fast.tobytes() == gram_fast(m_deg, n).tobytes(), m_deg
+            assert fc.tobytes() == gram_from_half_sums_oracle(
+                fastgram._integral_half_sums(m_deg, n)).tobytes(), m_deg
 
     @pytest.mark.parametrize("m_deg", [5, 10, 20, 40, 80])
     @pytest.mark.parametrize("factor", [4, 16, 64])

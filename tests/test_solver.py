@@ -193,6 +193,20 @@ class TestFit:
         result = fit(samples, m, basis=basis)
         np.testing.assert_allclose(result.series.coeffs, coeffs, atol=1e-10)
 
+    @given(m=st.integers(0, 50), extra=st.integers(0, 2000),
+           basis=st.sampled_from(list(Basis)), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_polynomial_reproduction_property(self, m, extra, basis, seed):
+        """A degree-M polynomial is reproduced at any N >= 4M^2 from the
+        boundary up, for M of either parity, in either basis; both parity
+        blocks of the normal equations carry coefficients."""
+        n = max(1, 4 * m * m + extra)
+        coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=m + 1)
+        series = (ChebyshevSeries(coeffs) if basis == Basis.CHEBYSHEV
+                  else LegendreSeries(coeffs))
+        result = fit(equispaced_samples(series, n), m, basis=basis)
+        np.testing.assert_allclose(result.series.coeffs, coeffs, atol=1e-10)
+
     def test_coefficient_bound(self):
         # Fitted coefficients inherit the geometric decay of the expansion,
         # up to the aliasing term controlled by the smallest singular value.
@@ -330,8 +344,10 @@ class TestFit:
     def test_bits_independent_of_blas_threads(self, outputs_per_blas_thread_count):
         """LAPACK's Cholesky and eigvalsh give the same sigma_min and fit
         coefficients under one and two BLAS threads at the benchmark's
-        largest degree (M = 125, N = 62500) and at M = 27. The Legendre fit
-        forms S^T G S without BLAS, so its Gram and coefficients do too."""
+        largest degree (M = 125, N = 62500), at M = 27 and at the even
+        M = 124, whose parity blocks have unequal sizes (63 and 62). The
+        Legendre fit forms S^T G S without BLAS, so its Gram and
+        coefficients do too."""
         n = 62_500
         script = (
             "import hashlib, numpy as np\n"
@@ -340,7 +356,7 @@ class TestFit:
             "from stable_extrap.vandermonde import spectral_report\n"
             f"grid = make_grid(GridKind.EQUISPACED, {n})\n"
             "y = 1.0 / (1.0 + 25.0 * grid.points ** 2)\n"
-            "for m in (27, 125):\n"
+            "for m in (27, 124, 125):\n"
             f"    sigma = spectral_report(gram_fast(m, {n})).sigma_min\n"
             "    coeffs = fit(SampleSet(grid, y), m).series.coeffs\n"
             "    leg = fit(SampleSet(grid, y), m, basis=Basis.LEGENDRE)\n"
@@ -350,7 +366,7 @@ class TestFit:
             "          hashlib.sha1(leg.series.coeffs.tobytes()).hexdigest())\n"
         )
         outputs = outputs_per_blas_thread_count(script)
-        assert len(outputs[0].splitlines()) == 2
+        assert len(outputs[0].splitlines()) == 3
         assert outputs[0] == outputs[1]
 
     def test_naive_chebyshev_matches_fast(self, dense_fit):

@@ -7,6 +7,7 @@ from numpy.polynomial import chebyshev as npcheb
 from stable_extrap import Basis, GridKind, make_grid
 from stable_extrap.basis import cheb_eval
 from stable_extrap.fastgram import gram_fast
+from stable_extrap.solver import _equispaced_gram
 from stable_extrap.vandermonde import (
     design_matrix,
     dominant_eigenvalue,
@@ -142,6 +143,37 @@ class TestSpectralReport:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             spectral_report(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("m_deg", [0, 1, 2, 27, 124, 125])
+    def test_parity_blocks_match_whole_eigvalsh(self, m_deg, basis):
+        # fit's Grams have exact zeros at m+n odd, so the report comes from
+        # the two parity blocks (one at M = 0, whose odd block is empty);
+        # the worst difference measured up to M = 300, in either basis, was
+        # 7.5e-15 lam_max (Chebyshev, M = 238).
+        g = _equispaced_gram(m_deg, max(1, 4 * m_deg * m_deg), basis)
+        idx = np.arange(m_deg + 1)
+        assert np.all(g[(idx[:, None] + idx[None, :]) % 2 == 1] == 0.0)
+        rep = spectral_report(g)
+        lam = np.linalg.eigvalsh(g)
+        assert abs(rep.sigma_min ** 2 - lam[0]) <= 1e-13 * lam[-1]
+        assert abs(rep.sigma_max ** 2 - lam[-1]) <= 1e-13 * lam[-1]
+
+    @pytest.mark.parametrize("pos", [(1, 0), (5, 2), (27, 0)])
+    @pytest.mark.parametrize("size", ["one entry", "symmetric pair"])
+    def test_nonzero_odd_parity_entry_solves_whole(self, pos, size):
+        # One nonzero entry with m+n odd (below the 1e-12 symmetry check,
+        # or mirrored at 2% of the corner, which moves lambda_min by up to
+        # 5%) sends g to one eigensolve of the whole matrix, with its bits.
+        g = gram_fast(27, 4 * 27 * 27)
+        if size == "one entry":
+            g[pos] = 5e-13 * np.max(np.abs(g))
+        else:
+            g[pos] = g[pos[::-1]] = 0.02 * g[0, 0]  # keeps g definite
+        rep = spectral_report(g)
+        lam = np.linalg.eigvalsh(g)
+        assert rep.sigma_min == math.sqrt(lam[0])
+        assert rep.sigma_max == math.sqrt(lam[-1])
 
     def test_lapack_matches_jacobi_on_fast_grams(self):
         # LAPACK's error is absolute (about eps*||G||); the fast Gram's
