@@ -8,8 +8,7 @@ decay against perturbation growth, and reports computable extrapolation
 error bounds together with the minimax witness showing they are sharp.
 """
 
-from .basis import (Basis, ChebyshevSeries, Grid, GridKind, LegendreSeries,
-                    SampleSet, make_grid)
+from .basis import Basis, ChebyshevSeries, Grid, GridKind, SampleSet, make_grid
 from .solver import FitResult, SolverError, fit
 from .extrapolator import (ExtrapolationReport, PointReport, ProblemParams,
                            Regime, extrapolate)

@@ -1,9 +1,9 @@
-"""Chebyshev and Legendre polynomial evaluation and the equispaced grid on [-1, 1].
+"""Chebyshev and Legendre polynomial values and the equispaced grid on [-1, 1].
 
 Every basis value comes from one three-term recurrence (_recurrence) in
-64-bit floating point, so a single code path serves both fitting on [-1, 1]
-(the design matrices in vandermonde) and evaluation beyond the interval
-(where first-kind Chebyshev polynomials grow but remain exact degree-k
+64-bit floating point, so a single code path serves both the design matrices
+on [-1, 1] (vandermonde) and evaluation beyond the interval (where
+first-kind Chebyshev polynomials grow but remain exact degree-k
 polynomials). Chebyshev series are summed by Clenshaw's backward recurrence.
 """
 
@@ -99,32 +99,6 @@ class ChebyshevSeries:
 
 
 @dataclass(frozen=True)
-class LegendreSeries:
-    """Coefficients c_0..c_M of sum_k c_k P_k(x)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _freeze(self.coeffs))
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
-            raise ValueError("series needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, x):
-        c = self.coeffs
-        x = np.asarray(x, dtype=float)
-        acc = np.full_like(x, c[0], dtype=float)
-        values = _recurrence(Basis.LEGENDRE, x, self.degree)
-        next(values)  # P_0 = 1 is already in acc
-        for ck, p in zip(c[1:], values):
-            acc = acc + ck * p
-        return acc if acc.ndim else float(acc)
-
-
-@dataclass(frozen=True)
 class SampleSet:
     """Equispaced samples f(x_k) + perturbation."""
 
@@ -168,14 +142,6 @@ def _recurrence(basis: Basis, x: np.ndarray, degree: int):
         p_prev, p_cur = p_cur, p_next
 
 
-def _eval(basis: Basis, k: int, x):
-    if k < 0:
-        raise ValueError("degree k must be nonnegative")
-    for p in _recurrence(basis, np.asarray(x, dtype=float), k):
-        pass
-    return p if p.ndim else float(p)
-
-
 def cheb_eval(k: int, x):
     """Evaluate the degree-k Chebyshev polynomial T_k(x).
 
@@ -183,12 +149,11 @@ def cheb_eval(k: int, x):
     identity, so it is valid for |x| > 1 too (where T_k grows like
     (|x| + sqrt(x^2-1))^k).
     """
-    return _eval(Basis.CHEBYSHEV, k, x)
-
-
-def legendre_eval(k: int, x):
-    """Evaluate the degree-k Legendre polynomial P_k(x) by Bonnet recurrence."""
-    return _eval(Basis.LEGENDRE, k, x)
+    if k < 0:
+        raise ValueError("degree k must be nonnegative")
+    for p in _recurrence(Basis.CHEBYSHEV, np.asarray(x, dtype=float), k):
+        pass
+    return p if p.ndim else float(p)
 
 
 def clenshaw_eval(series, x):

@@ -21,14 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import EQUISPACING_TOL, Basis, GridKind, SampleSet, make_grid
+from .basis import EQUISPACING_TOL, GridKind, SampleSet, clenshaw_eval, make_grid
 from .extrapolator import ProblemParams, extrapolate, optimal_degree
 from .solver import SolverError, fit
 from . import experiments, verify
 
 SCHEMA_VERSION = 1
-
-_BASIS_FLAGS = {"cheb": Basis.CHEBYSHEV, "leg": Basis.LEGENDRE}
 
 
 class CliError(Exception):
@@ -136,7 +134,6 @@ def _row_error(path: str, skip: int, row: int, text: str) -> CliError:
 
 def cmd_fit(args) -> int:
     samples = read_samples_csv(args.input)
-    basis = _BASIS_FLAGS[args.basis]
     auto_fields = {}
     if args.auto:
         if args.M is not None:
@@ -160,16 +157,18 @@ def cmd_fit(args) -> int:
                 raise CliError(f"--{flag} has no effect without --auto")
 
     try:
-        result = fit(samples, degree, basis=basis)
+        result = fit(samples, degree)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except SolverError as exc:
         raise CliError(str(exc), code=3) from exc
 
-    resid = float(np.linalg.norm(samples.values - result.series(samples.grid.points)))
+    resid = _residual(samples, result.series.coeffs)
+    if not math.isfinite(resid):
+        raise CliError(f"{args.input}: the residual of these samples' fit overflows")
     document = {
         "schema": SCHEMA_VERSION,
-        "basis": basis.value,
+        "basis": "chebyshev",
         "M": result.m_degree,
         "N": result.n_samples,
         **auto_fields,
@@ -180,6 +179,19 @@ def cmd_fit(args) -> int:
     }
     _emit(document, args.output)
     return 0
+
+
+def _residual(samples: SampleSet, coeffs: np.ndarray) -> float:
+    """||y - p(x)||_2 over the samples. Where that overflows, y and p are
+    scaled by a power of two (exact for normal numbers) and the norm back."""
+    x, y = samples.grid.points, samples.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(np.linalg.norm(y - clenshaw_eval(coeffs, x)))
+        if not math.isfinite(resid):
+            e = math.frexp(float(np.max(np.abs(y))))[1]
+            scaled = np.ldexp(y, -e) - clenshaw_eval(np.ldexp(coeffs, -e), x)
+            resid = float(np.ldexp(np.linalg.norm(scaled), e))
+    return resid
 
 
 def cmd_extrapolate(args) -> int:
@@ -321,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--M", type=int, help="fit degree")
     p_fit.add_argument("--auto", action="store_true",
                        help="choose the degree from --rho/--eps/--Q")
-    p_fit.add_argument("--basis", choices=sorted(_BASIS_FLAGS), default="cheb")
 
     p_ext = samples_command("extrapolate", "evaluate beyond [-1, 1] with bounds")
     p_ext.add_argument("--at", required=True,

@@ -15,7 +15,7 @@ x is governed by r(x) = (x + sqrt(x^2-1))/rho in [1/rho, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -124,22 +124,18 @@ def r_alpha(x: float, rho: float) -> tuple[float, float]:
     return r, alpha
 
 
-def _truncation_term(params: ProblemParams, m_degree: int, r: float,
-                     sigma_min: float) -> float:
-    """The bounds' lead term: the truncation error of the degree-M fit,
-    carried to the point whose nondimensional length is r."""
-    return 2.0 * params.q * (
+def _explicit_bound(params: ProblemParams, m_degree: int, r: float,
+                    sigma_min: float) -> float:
+    """The truncation error of the degree-M fit, carried to the point whose
+    nondimensional length is r, plus the noise term of a uniform eps."""
+    truncation = 2.0 * params.q * (
         math.sqrt(params.n_samples + 1) * (m_degree + 1)
         / (sigma_min * (params.rho - 1.0))
         + r / (1.0 - r)
     ) * r ** m_degree
-
-
-def _explicit_bound(params: ProblemParams, m_degree: int, r: float,
-                    sigma_min: float) -> float:
     noise = ((m_degree + 1) * math.sqrt(params.n_samples + 1) * params.eps
              / sigma_min * (params.rho * r) ** m_degree)
-    return _truncation_term(params, m_degree, r, sigma_min) + noise
+    return truncation + noise
 
 
 def _asymptotic_factor(params: ProblemParams, regime: Regime,
@@ -158,7 +154,8 @@ def extrapolate(samples: SampleSet, params: ProblemParams, xs) -> ExtrapolationR
     of the design matrix, and the regime's asymptotic bound factor, which
     omits only constants. Under M <= sqrt(N)/2 the measured sigma_min^2 is at
     least the guaranteed 2N/(125(2M+1)), so the bound is never looser than
-    the one that floor would give.
+    the one that floor would give. A value or bound that overflows raises
+    ValueError.
     """
     if samples.n != params.n_samples:
         raise ValueError(
@@ -175,30 +172,22 @@ def extrapolate(samples: SampleSet, params: ProblemParams, xs) -> ExtrapolationR
 
     points = []
     for x, (r, alpha) in zip(xs, pairs):
-        value = float(clenshaw_eval(fit_result.series, x))
-        points.append(PointReport(
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(clenshaw_eval(fit_result.series, x))
+        point = PointReport(
             x=x,
             r=r,
             alpha=alpha,
             value=value,
             bound_explicit=_explicit_bound(params, m_star, r, sigma_min),
             bound_asymptotic_factor=_asymptotic_factor(params, regime, r, alpha),
-        ))
+        )
+        if not all(map(math.isfinite, astuple(point))):
+            raise ValueError(f"the fitted value or its bounds overflow at x={x!r}: "
+                             f"the samples or Q={params.q!r} are too large")
+        points.append(point)
     return ExtrapolationReport(m_star, regime, degenerate, sigma_min,
                                fit_result, tuple(points))
-
-
-def noisy_extrapolation_bound(params: ProblemParams, m_degree: int, s: float,
-                              x: float, sigma_min: float) -> float:
-    """Expected extrapolation error bound under i.i.d. Gaussian noise of
-    standard deviation s; reduces to the noiseless bound at s=0.
-
-    The noise term grows like (rho*r)^M, which is why extrapolation in noise
-    is unstable unless the degree is kept near the balanced choice.
-    """
-    r, _ = r_alpha(x, params.rho)
-    noise = (m_degree + 1) ** 1.5 * s / sigma_min * (params.rho * r) ** m_degree
-    return _truncation_term(params, m_degree, r, sigma_min) + noise
 
 
 @dataclass(frozen=True)

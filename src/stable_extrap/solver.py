@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, ChebyshevSeries, LegendreSeries, SampleSet
+from .basis import ChebyshevSeries, SampleSet
 from .fastgram import gram_fast, rhs
 from .vandermonde import (
     design_matrix,  # unused; the benchmark tracer wraps it (ROADMAP item 0)
@@ -30,7 +30,9 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitResult:
-    series: ChebyshevSeries | LegendreSeries
+    """fit's least-squares Chebyshev series and its Gram's conditioning."""
+
+    series: ChebyshevSeries
     m_degree: int
     n_samples: int
     gram_cond_estimate: float  # kappa_2 of gram, the design's kappa squared
@@ -39,21 +41,12 @@ class FitResult:
 
     @property
     def gram(self) -> np.ndarray:
-        """The normal-equation matrix that was solved, read-only. It depends
-        on (M, N) alone, so a kept result holds O(M) numbers and the Gram is
+        """The Chebyshev Gram that was solved, read-only. It depends on
+        (M, N) alone, so a kept result holds O(M) numbers and the Gram is
         rebuilt on each access, with the bits the solve used."""
-        basis = (Basis.CHEBYSHEV if isinstance(self.series, ChebyshevSeries)
-                 else Basis.LEGENDRE)
-        g = _equispaced_gram(self.m_degree, self.n_samples, basis)
+        g = gram_fast(self.m_degree, self.n_samples)
         g.setflags(write=False)
         return g
-
-
-def psi(i: int) -> float:
-    """Ratio Gamma(i + 1/2)/Gamma(i + 1), entry i of psi_table."""
-    if i < 0:
-        raise ValueError("psi is defined for nonnegative integers")
-    return float(psi_table(i)[i])
 
 
 def psi_table(n: int) -> np.ndarray:
@@ -105,43 +98,26 @@ def _basis_change_blocks(m_degree: int) -> list[np.ndarray]:
     return blocks
 
 
-def legendre_to_chebyshev(series: LegendreSeries) -> ChebyshevSeries:
-    """Convert a Legendre series to the Chebyshev series of the same polynomial."""
-    s = basis_change_matrix(series.degree)
-    return ChebyshevSeries(s @ series.coeffs)
-
-
-def _equispaced_gram(m_degree: int, n: int, basis: Basis) -> np.ndarray:
-    """fit's normal-equation matrix: the Chebyshev Gram G, or S^T G S for a
-    Legendre fit (V_leg = V_cheb S). numpy's einsum loops, not BLAS, form the
-    products, so the bits do not depend on the BLAS thread count."""
-    g = gram_fast(m_degree, n)
-    if basis == Basis.LEGENDRE:
-        s = basis_change_matrix(m_degree)
-        sgs = np.einsum("ki,kj->ij", s, np.einsum("kl,lj->kj", g, s))
-        g = 0.5 * (sgs + sgs.T)
-    return g
-
-
-def fit(samples: SampleSet, m_degree: int,
-        basis: Basis = Basis.CHEBYSHEV) -> FitResult:
-    """Least-squares polynomial fit of degree M to the sample values.
+def fit(samples: SampleSet, m_degree: int) -> FitResult:
+    """Least-squares Chebyshev fit of degree M to the sample values.
 
     The grid is x_k = 2k/N - 1, which Grid checks. N >= 4M^2, that is
     M <= sqrt(N)/2, or ValueError is raised: past that boundary the fast
     Gram's truncated correction series is no longer accurate (1e-5 N at
     M = 20, N = 100) and the paper's conditioning bound does not hold. The
-    Chebyshev Gram G and b take O(M^2 + MN) in either basis: V_leg = V_cheb S
-    with S = basis_change_matrix(M), so a Legendre fit solves
-    S^T G S c = S^T b. On the mirrored grid every entry of either Gram with
-    m+n odd is exactly 0, so the system splits into the even-degree and the
-    odd-degree equations, g[p::2, p::2] c[p::2] = b[p::2] for p = 0, 1,
+    Gram G and b take O(M^2 + MN). On the mirrored grid every entry of G
+    with m+n odd is exactly 0, so the system splits into the even-degree and
+    the odd-degree equations, g[p::2, p::2] c[p::2] = b[p::2] for p = 0, 1,
     which an unshifted Cholesky solves apart at half size. The interleaved
     solution is verified against the whole system to a residual of
-    1e-10 * ||b|| (else SolverError, also for a NaN residual, as overflowing
-    samples give); sigma_min and kappa come from the solved Gram.
+    1e-10 * ||b|| (else SolverError); sigma_min and kappa come from G.
+
+    The fit is linear in y. When max|b| passes 2^500, past which ||b||^2
+    in the residual check could overflow, or b itself overflows, the samples
+    are fitted scaled by a power of two, exactly for normal numbers, and the
+    coefficients are scaled back; coefficients that then overflow raise
+    ValueError.
     """
-    basis = Basis(basis)
     n = samples.n
     if m_degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -150,10 +126,13 @@ def fit(samples: SampleSet, m_degree: int,
             f"degree M={m_degree} exceeds sqrt(N)/2={0.5 * math.sqrt(n):.2f} "
             f"(N={n}); fit needs N >= 4M^2")
 
-    g = _equispaced_gram(m_degree, n, basis)
-    b = rhs(samples.grid, samples.values, m_degree)
-    if basis == Basis.LEGENDRE:
-        b = np.einsum("ki,k->i", basis_change_matrix(m_degree), b)
+    g = gram_fast(m_degree, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = rhs(samples.grid, samples.values, m_degree)
+    exponent = 0
+    if not np.max(np.abs(b)) <= 2.0 ** 500:
+        exponent = math.frexp(np.max(np.abs(samples.values)))[1]
+        b = rhs(samples.grid, np.ldexp(samples.values, -exponent), m_degree)
     coeffs = np.empty(m_degree + 1)
     for p in range(min(2, m_degree + 1)):
         coeffs[p::2] = _cholesky_solve(g[p::2, p::2], b[p::2])
@@ -164,11 +143,16 @@ def fit(samples: SampleSet, m_degree: int,
             f"normal-equation residual {resid:.3e} exceeds tolerance "
             f"(M={m_degree}, N={n})"
         )
+    if exponent:
+        with np.errstate(over="ignore"):
+            coeffs = np.ldexp(coeffs, exponent)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"the samples overflow the degree-{m_degree} fit's "
+                             f"coefficients (N={n})")
 
     report = spectral_report(g)
-    series = (ChebyshevSeries(coeffs) if basis == Basis.CHEBYSHEV
-              else LegendreSeries(coeffs))
-    return FitResult(series, m_degree, n, report.cond2 ** 2, report.sigma_min)
+    return FitResult(ChebyshevSeries(coeffs), m_degree, n, report.cond2 ** 2,
+                     report.sigma_min)
 
 
 def _cholesky_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,14 +10,15 @@ from numpy.polynomial import legendre as npleg
 
 from stable_extrap import basis
 from stable_extrap import (
+    Basis,
     ChebyshevSeries,
     Grid,
     GridKind,
-    LegendreSeries,
     SampleSet,
     make_grid,
 )
-from stable_extrap.basis import cheb_eval, clenshaw_eval, legendre_eval
+from stable_extrap.basis import cheb_eval, clenshaw_eval
+from stable_extrap.vandermonde import design_matrix
 
 
 class TestChebEval:
@@ -67,34 +68,40 @@ class TestChebEval:
                                        rtol=1e-13, atol=1e-13)
 
 
+def legendre_columns(n, degree):
+    """P_0, ..., P_degree on the N-grid, from the recurrence's Legendre
+    branch by way of design_matrix, its one caller; column k is P_k."""
+    return design_matrix(make_grid(GridKind.EQUISPACED, n), degree, Basis.LEGENDRE)
+
+
 class TestLegendreEval:
     def test_degree_zero(self):
-        assert legendre_eval(0, -0.3) == 1.0
+        assert np.all(legendre_columns(4, 0) == 1.0)
 
     def test_degree_two(self):
-        # P_2 = (3x^2 - 1)/2
-        assert legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+        # P_2 = (3x^2 - 1)/2, at x_3 = 0.5 of the 4-grid
+        assert legendre_columns(4, 2)[3, 2] == pytest.approx(-0.125, abs=1e-15)
 
     def test_degree_four_at_zero(self):
-        assert legendre_eval(4, 0.0) == pytest.approx(0.375, abs=1e-15)
+        assert legendre_columns(4, 4)[2, 4] == pytest.approx(0.375, abs=1e-15)
 
     def test_matches_numpy_legval(self):
-        xs = np.linspace(-1.0, 1.0, 31)
-        for k in (0, 1, 3, 8, 15):
-            unit = np.zeros(k + 1)
-            unit[k] = 1.0
-            np.testing.assert_allclose(legendre_eval(k, xs), npleg.legval(xs, unit),
-                                       rtol=1e-12, atol=1e-13)
+        # numpy's legval sums by Clenshaw, not by the recurrence; the worst
+        # difference measured at N = 2000 was 1.2e-13.
+        xs = make_grid(GridKind.EQUISPACED, 2000).points
+        for m_deg in (0, 1, 2, 9, 27, 125):
+            v = legendre_columns(2000, m_deg)
+            ref = np.column_stack([npleg.legval(xs, unit) for unit in np.eye(m_deg + 1)])
+            assert np.max(np.abs(v - ref)) <= 1e-12, m_deg
 
     def test_trapezium_orthogonality(self):
         # 1e6-point trapezium approximation of the pairwise product integrals
         n = 1_000_000
-        xs = 2.0 * np.arange(n + 1) / n - 1.0
         h = 2.0 / n
-        table = [legendre_eval(k, xs) for k in range(9)]
+        table = legendre_columns(n, 8)
         for m in range(9):
             for k in range(m, 9):
-                prod = table[m] * table[k]
+                prod = table[:, m] * table[:, k]
                 integral = h * (np.sum(prod) - 0.5 * (prod[0] + prod[-1]))
                 expected = 2.0 / (2 * k + 1) if m == k else 0.0
                 assert integral == pytest.approx(expected, abs=1e-6)
@@ -237,8 +244,6 @@ class TestTypes:
         s = ChebyshevSeries([1.0, 0.0, 1.0])
         assert s(0.5) == pytest.approx(1.0 + cheb_eval(2, 0.5))
         assert s.degree == 2
-        p = LegendreSeries([0.0, 0.0, 1.0])
-        assert p(0.5) == pytest.approx(legendre_eval(2, 0.5))
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):

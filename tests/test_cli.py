@@ -20,6 +20,11 @@ from stable_extrap.cli import CliError, json_dumps, main, read_samples_csv
 RHO_SILVER = 1.0 + math.sqrt(2.0)
 # Five finite samples on the grid of N = 4 whose mirror fold overflows.
 OVERFLOWING_CSV = "x,y\n-1.0,1e308\n-0.5,-1e308\n0.0,1e308\n0.5,-1e308\n1.0,1e308\n"
+# 401 finite samples whose sums overflow, and 401 whose squares do; at 1e200
+# the right-hand side of the fit is finite but its squared norm is not.
+LARGE_SAMPLES = {"1.7e308*cos(40x)": lambda x: 1.7e308 * np.cos(40.0 * x),
+                 "1e300*cos(x)": lambda x: 1e300 * np.cos(x),
+                 "1e200*cos(x)": lambda x: 1e200 * np.cos(x)}
 
 
 def write_samples(path, n, fn, header=True):
@@ -76,7 +81,7 @@ def test_documents_hold_only_python_scalars(tmp_path, monkeypatch):
     commands = (
         ["fit", "--input", str(csv_path), "--M", "10"],
         ["fit", "--input", str(csv_path), "--auto", "--rho", "2", "--eps", "1e-10",
-         "--Q", "1.5", "--basis", "leg"],
+         "--Q", "1.5"],
         ["extrapolate", "--input", str(csv_path), "--rho", "2", "--eps", "1e-10",
          "--Q", "1.5", "--at", "1.0,1.1"],
         ["verify", "--suite", "all"],
@@ -294,15 +299,19 @@ class TestFitCommand:
         write_samples(csv_path, 16, np.cos)
         assert main(["fit", "--input", str(csv_path)]) == 2
 
-    def test_legendre_basis(self, tmp_path):
+    def test_legendre_basis(self, tmp_path, capsys):
+        # fit is the Chebyshev fit; the --basis flag went with the Legendre
+        # fit, and the document still names its basis.
         csv_path = tmp_path / "s.csv"
         out_path = tmp_path / "fit.json"
         write_samples(csv_path, 64, lambda x: x ** 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", str(csv_path), "--M", "2", "--basis", "leg"])
+        assert exc.value.code == 2
+        assert "--basis" in capsys.readouterr().err
         assert main(["fit", "--input", str(csv_path), "--M", "2",
-                     "--basis", "leg", "--output", str(out_path)]) == 0
-        doc = json.loads(out_path.read_text())
-        # x^2 = (2 P_2 + P_0)/3
-        np.testing.assert_allclose(doc["coeffs"], [1 / 3, 0, 2 / 3], atol=1e-12)
+                     "--output", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["basis"] == "chebyshev"
 
     def test_idempotent(self, tmp_path):
         csv_path = tmp_path / "s.csv"
@@ -321,18 +330,6 @@ class TestFitCommand:
             main(["fit", "--input", str(csv_path), "--M", "2", "--gram", "naive"])
         assert exc.value.code == 2
         assert "--gram" in capsys.readouterr().err
-
-    def test_overflowing_samples_exit_3(self, tmp_path, capsys):
-        # Finite samples of size 1e308 overflow the mirror fold, so b and
-        # the residual are NaN; the residual check must fail, not pass.
-        path = tmp_path / "big.csv"
-        path.write_text(OVERFLOWING_CSV)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["fit", "--input", str(path), "--M", "1",
-                         "--output", str(tmp_path / "o.json")])
-        assert code == 3
-        assert "normal-equation residual nan exceeds tolerance" in capsys.readouterr().err
-        assert not (tmp_path / "o.json").exists()
 
 
 class TestExtrapolateCommand:
@@ -416,16 +413,17 @@ class TestExtrapolateCommand:
         assert doc["M_star"] == 40
         assert doc["points"][0]["M_star"] == 40
 
-    def test_overflowing_samples_exit_3(self, tmp_path, capsys):
-        path = tmp_path / "big.csv"
-        path.write_text(OVERFLOWING_CSV)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["extrapolate", "--input", str(path), "--rho", "2",
-                         "--eps", "1e-10", "--Q", "1e308", "--at", "1.1",
-                         "--output", str(tmp_path / "o.json")])
-        assert code == 3
-        assert "normal-equation residual nan exceeds tolerance" in capsys.readouterr().err
-        assert not (tmp_path / "o.json").exists()
+    def test_overflowing_bound_exits_2(self, tmp_path, capsys):
+        # The bounds scale with Q, so Q = 1e308 overflows them; the document
+        # would hold Infinity, which strict JSON readers refuse.
+        csv_path = tmp_path / "f.csv"
+        write_samples(csv_path, 400, np.cos)
+        code = main(["extrapolate", "--input", str(csv_path), "--rho", "2",
+                     "--eps", "1e-10", "--Q", "1e308", "--at", "1.0,1.1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "its bounds overflow at x=1.0: the samples or Q=1e+308" in captured.err
 
 
 class TestVerifyCommand:
@@ -659,3 +657,41 @@ def test_entry_point_matches_in_process_main(tmp_path, capsys):
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == in_process.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", ["fit", "extrapolate"])
+@pytest.mark.parametrize("samples", ["+-1e308", *LARGE_SAMPLES])
+def test_large_finite_samples(tmp_path, samples, command):
+    """Finite samples near the top of the double range are fitted, or refused
+    as bad input with exit 2 and one error line; never a solver failure
+    (exit 3), a NaN or an Infinity in the document, or a numpy warning."""
+    path = tmp_path / "big.csv"
+    if samples in LARGE_SAMPLES:
+        write_samples(path, 400, LARGE_SAMPLES[samples])
+    else:
+        path.write_text(OVERFLOWING_CSV)
+    args = (["fit", "--M", "1"] if command == "fit" else
+            ["extrapolate", "--rho", "2", "--eps", "1e-10", "--Q", "1.5",
+             "--at", "1.0,1.1"])
+    src = str(Path(stable_extrap.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "stable_extrap.cli", *args,
+                           "--input", str(path)], capture_output=True, env=env, timeout=120)
+    err = proc.stderr.decode()
+    if proc.returncode == 0:
+        assert err == ""
+        assert all(math.isfinite(v) for v in _floats(json.loads(proc.stdout)))
+    else:
+        assert proc.returncode == 2, err
+        assert proc.stdout == b""
+        assert err.startswith("stable-extrap: error: ") and err.count("\n") == 1, err
+
+
+def _floats(obj):
+    """Every float in a JSON document."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [v for item in obj for v in _floats(item)]
+    return [obj] if isinstance(obj, float) else []

@@ -18,7 +18,6 @@ from stable_extrap import (
 from stable_extrap.experiments import NoiseModel, TEST_FUNCTIONS
 from stable_extrap.extrapolator import (
     minimax_witness,
-    noisy_extrapolation_bound,
     optimal_degree,
     r_alpha,
 )
@@ -118,6 +117,19 @@ class TestExtrapolate:
         for p in report.points:
             assert p.value == 0.0
             assert p.bound_explicit > 0.0
+
+    def test_bound_explicit_is_the_papers_formula(self):
+        # The truncation term 2Q (sqrt(N+1)(M+1)/(sigma_min (rho-1)) + r/(1-r)) r^M
+        # plus the noise term (M+1) sqrt(N+1) eps/sigma_min (rho r)^M.
+        params = ProblemParams(400, 2.414, 1e-12, 1.5)
+        report = extrapolate(equispaced_samples(np.cos, 400), params, [1.1])
+        m, sigma = report.m_star, report.sigma_min
+        r, _ = r_alpha(1.1, params.rho)
+        lead = 2 * params.q * (
+            math.sqrt(401) * (m + 1) / (sigma * (params.rho - 1)) + r / (1 - r)
+        ) * r ** m
+        noise = (m + 1) * math.sqrt(401) * params.eps / sigma * (params.rho * r) ** m
+        assert report.points[0].bound_explicit == pytest.approx(lead + noise, rel=1e-15)
 
     def test_exact_samples_error_below_bound(self):
         fn = lambda x: 1.0 / (1.0 + np.asarray(x) ** 2)
@@ -233,38 +245,6 @@ class TestExtrapolate:
         assert np.float64(report.sigma_min).tobytes() == np.float64(expected).tobytes()
         assert report.sigma_min == report.fit_result.sigma_min
         assert not report.fit_result.gram.flags.writeable
-
-
-class TestNoisyBound:
-    def test_reduces_to_noiseless_at_s0(self):
-        params = ProblemParams(400, 2.414, 1e-12, 1.5)
-        m, x, sigma = 8, 1.1, 14.0
-        r, _ = r_alpha(x, params.rho)
-        lead = 2 * params.q * (
-            math.sqrt(401) * (m + 1) / (sigma * (params.rho - 1)) + r / (1 - r)
-        ) * r ** m
-        assert noisy_extrapolation_bound(params, m, 0.0, x, sigma) == pytest.approx(lead, rel=1e-15)
-
-    def test_noise_term_flat_at_x1(self):
-        params = ProblemParams(400, 2.414, 1e-12, 1.5)
-        m, sigma, s = 8, 14.0, 1e-3
-        with_noise = noisy_extrapolation_bound(params, m, s, 1.0, sigma)
-        without = noisy_extrapolation_bound(params, m, 0.0, 1.0, sigma)
-        # (rho r)^M = 1 at x = 1, so the noise term is exactly (M+1)^1.5 s / sigma
-        assert with_noise - without == pytest.approx((m + 1) ** 1.5 * s / sigma, rel=1e-12)
-
-    def test_parametric_rate_in_n(self):
-        # With sigma^2 at the guaranteed floor 2N/(125(2M+1)), the noise term
-        # scales like N^{-1/2}.
-        m, s, x, rho = 8, 1e-3, 1.1, 2.414
-        def noise_term(n):
-            params = ProblemParams(n, rho, 1e-12, 1.5)
-            sigma = math.sqrt(2.0 * n / (125.0 * (2 * m + 1)))
-            return (noisy_extrapolation_bound(params, m, s, x, sigma)
-                    - noisy_extrapolation_bound(params, m, 0.0, x, sigma))
-        lo, hi = noise_term(10 ** 4), noise_term(10 ** 6)
-        slope = (math.log(hi) - math.log(lo)) / (math.log(10 ** 6) - math.log(10 ** 4))
-        assert slope == pytest.approx(-0.5, abs=1e-12)
 
 
 class TestMinimaxWitness:

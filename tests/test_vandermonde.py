@@ -7,7 +7,7 @@ from numpy.polynomial import chebyshev as npcheb
 from stable_extrap import Basis, GridKind, make_grid
 from stable_extrap.basis import cheb_eval
 from stable_extrap.fastgram import gram_fast
-from stable_extrap.solver import _equispaced_gram
+from stable_extrap.solver import basis_change_matrix
 from stable_extrap.vandermonde import (
     design_matrix,
     dominant_eigenvalue,
@@ -150,8 +150,13 @@ class TestSpectralReport:
         # fit's Grams have exact zeros at m+n odd, so the report comes from
         # the two parity blocks (one at M = 0, whose odd block is empty);
         # the worst difference measured up to M = 300, in either basis, was
-        # 7.5e-15 lam_max (Chebyshev, M = 238).
-        g = _equispaced_gram(m_deg, max(1, 4 * m_deg * m_deg), basis)
+        # 7.5e-15 lam_max (Chebyshev, M = 238). The Legendre Gram is S^T G S,
+        # formed with einsum, whose loops leave the odd-parity zeros exact.
+        g = gram_fast(m_deg, max(1, 4 * m_deg * m_deg))
+        if basis == Basis.LEGENDRE:
+            s = basis_change_matrix(m_deg)
+            sgs = np.einsum("ki,kj->ij", s, np.einsum("kl,lj->kj", g, s))
+            g = 0.5 * (sgs + sgs.T)
         idx = np.arange(m_deg + 1)
         assert np.all(g[(idx[:, None] + idx[None, :]) % 2 == 1] == 0.0)
         rep = spectral_report(g)
