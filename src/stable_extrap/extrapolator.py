@@ -127,14 +127,20 @@ def r_alpha(x: float, rho: float) -> tuple[float, float]:
 def _explicit_bound(params: ProblemParams, m_degree: int, r: float,
                     sigma_min: float) -> float:
     """The truncation error of the degree-M fit, carried to the point whose
-    nondimensional length is r, plus the noise term of a uniform eps."""
+    nondimensional length is r, plus the noise term of a uniform eps. The
+    noise term's growth (rho r)^M is infinite where the float power
+    overflows, so that extrapolate refuses the bound."""
     truncation = 2.0 * params.q * (
         math.sqrt(params.n_samples + 1) * (m_degree + 1)
         / (sigma_min * (params.rho - 1.0))
         + r / (1.0 - r)
     ) * r ** m_degree
+    try:
+        growth = (params.rho * r) ** m_degree
+    except OverflowError:
+        growth = math.inf
     noise = ((m_degree + 1) * math.sqrt(params.n_samples + 1) * params.eps
-             / sigma_min * (params.rho * r) ** m_degree)
+             / sigma_min * growth)
     return truncation + noise
 
 

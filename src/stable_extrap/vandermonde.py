@@ -14,11 +14,12 @@ M = 300, 500 and 600; at M = 400 only sigma_min agreed. The whole-matrix
 solves differed from M = 200 on. The cyclic Jacobi iteration defined here,
 with its deterministic round-robin rotation order, serves the one
 certification check whose matrix is too ill conditioned for LAPACK's
-absolute accuracy (the interpolation sandwich). The power iteration serves the basis-change norms:
-dominant_eigenvalue applies a symmetric matrix, dominant_singular_value
-applies b^T (b v) without forming b^T b. Each step is one or two
-matrix-vector products, whose bits did not depend on the BLAS thread count
-in the tests (the bits of a matrix-matrix product can, at some shapes).
+absolute accuracy (the interpolation sandwich). A Lanczos iteration with
+full reorthogonalization serves the basis-change norms: dominant_eigenvalue
+applies a symmetric matrix, dominant_singular_value applies b^T (b v)
+without forming b^T b. Each step is one or two matrix-vector products, whose
+bits did not depend on the BLAS thread count in the tests (the bits of a
+matrix-matrix product can, at some shapes), and einsum, which calls no BLAS.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ import numpy as np
 
 from .basis import Basis, Grid, _recurrence
 
-# Stopping rule of the iterative eigensolvers (Jacobi and power iteration).
+# Stopping rule of the iterative eigensolvers (Jacobi and Lanczos).
 _REL_TOL = 1e-13
 _MAX_SWEEPS = 100
-_MAX_POWER_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,9 @@ class SpectralReport:
 
 def design_matrix(grid: Grid, degree: int, basis: Basis) -> np.ndarray:
     """The dense (N+1) x (M+1) matrix of the basis polynomials at the grid
-    points, filled column by column with the three-term recurrence.
+    points, filled column by column with the three-term recurrence. It is
+    column-major, so each column is one contiguous store and one contiguous
+    read.
 
     The guard degree <= 10 * sqrt(grid size) rejects degrees for which the
     columns are so far from independence that the result is useless.
@@ -60,7 +62,7 @@ def design_matrix(grid: Grid, degree: int, basis: Basis) -> np.ndarray:
             f"degree {degree} exceeds the misuse guard "
             f"10*sqrt(grid size) = {guard:.1f}"
         )
-    v = np.empty((grid.points.size, degree + 1))
+    v = np.empty((grid.points.size, degree + 1), order="F")
     for k, column in enumerate(_recurrence(basis, grid.points, degree)):
         v[:, k] = column
     return v
@@ -165,50 +167,63 @@ def jacobi_eigenvalues(a) -> np.ndarray:
     return np.sort(np.diagonal(a).copy())
 
 
-def _power_iteration(matvec, n: int) -> float:
-    """Dominant eigenvalue of the symmetric operator v -> matvec(v).
+def _lanczos_max(matvec, n: int) -> float:
+    """Largest eigenvalue of the symmetric operator v -> matvec(v) on R^n.
 
-    Deterministic iteration from the all-ones direction; stops when the
-    residual ||A v - theta v|| falls below _REL_TOL * |theta|.
+    Lanczos from the all-ones direction, each new vector orthogonalized
+    twice against all earlier ones (full reorthogonalization, einsum rather
+    than BLAS), so the basis grows by one row of n per operator application
+    and is never n x n. After each application the top Ritz value theta of
+    the tridiagonal T_j comes from eigh, and its Ritz vector's residual
+    ||A y - theta y|| is beta_j |s_j|, with s_j the last entry of T_j's
+    eigenvector. The iteration stops when that residual falls below
+    _REL_TOL * |theta|, when beta_j = 0 (the Krylov space is invariant) or
+    when j = n.
     """
-    v = np.full(n, 1.0 / math.sqrt(n))
-    theta = 0.0
-    for _ in range(_MAX_POWER_STEPS):
-        w = matvec(v)
-        theta = float(v @ w)
-        resid = float(np.linalg.norm(w - theta * v))
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if resid <= _REL_TOL * max(abs(theta), 1e-300):
+    q = np.full(n, 1.0 / math.sqrt(n))
+    basis = q[None, :]
+    alphas: list[float] = []
+    betas: list[float] = []
+    while True:
+        w = matvec(q)
+        alphas.append(float(q @ w))
+        for _ in range(2):
+            w = w - np.einsum("i,ij->j", np.einsum("ij,j->i", basis, w), basis)
+        beta = float(np.linalg.norm(w))
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz, vecs = np.linalg.eigh(t)
+        theta = float(ritz[-1])
+        if (beta == 0.0 or len(alphas) == n
+                or beta * abs(vecs[-1, -1]) <= _REL_TOL * abs(theta)):
             return theta
-    raise RuntimeError(f"power iteration did not converge in {_MAX_POWER_STEPS} steps")
+        betas.append(beta)
+        q = w / beta
+        basis = np.vstack((basis, q))
 
 
 def dominant_eigenvalue(a: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric matrix with nonnegative entries.
 
-    Deterministic power iteration from the all-ones direction. For matrices
-    with nonnegative entries the dominant eigenvector is itself nonnegative,
-    so the start vector cannot be deficient. Used where only the top of the
-    spectrum is needed and a full Jacobi pass would be wasteful.
+    Deterministic Lanczos iteration from the all-ones direction. For
+    matrices with nonnegative entries the dominant eigenvector is itself
+    nonnegative, so the start vector cannot be deficient. Used where only the
+    top of the spectrum is needed and a full eigensolve would be wasteful.
     """
     a = np.asarray(a, dtype=float)
-    return _power_iteration(lambda v: a @ v, a.shape[0])
+    return _lanczos_max(lambda v: a @ v, a.shape[0])
 
 
 def dominant_singular_value(b: np.ndarray) -> float:
     """Largest singular value of a matrix with nonnegative entries.
 
-    The power iteration of dominant_eigenvalue on b^T b, applied as
+    The Lanczos iteration of dominant_eigenvalue on b^T b, applied as
     b^T (b v): the Gram is never formed, so no matrix-matrix product (whose
     BLAS rounding depends on the thread count) enters the result.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
         raise ValueError("expected a matrix")
-    lam = _power_iteration(lambda v: b.T @ (b @ v), b.shape[1])
+    lam = _lanczos_max(lambda v: b.T @ (b @ v), b.shape[1])
     return math.sqrt(max(lam, 0.0))
 
 

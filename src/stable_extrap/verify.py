@@ -8,7 +8,7 @@ The design spectra are the squared singular values of V from LAPACK's SVD,
 whose error is about eps * kappa_2(V); V^T V is not formed. D+C and F+C have
 kappa <= 187.5(2M+1) at the sizes used here, so LAPACK's eigvalsh, accurate
 to about eps * ||A|| absolute, is enough for them. The basis-change norms use
-the power iteration on S's even and odd parity blocks, which are built
+a Lanczos iteration on S's even and odd parity blocks, which are built
 without S. Only the interpolation sandwich, whose square Gram has kappa up to
 about 1e8, squares V, and keeps the Jacobi eigensolver for its relative
 accuracy. The results of run_suite("all") have the same bits under 1 and 2
@@ -43,7 +43,7 @@ from .vandermonde import (
 KNOWN_FALSE = frozenset({"sandwich-lower"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """One verified inequality lhs <= rhs with its measured slack."""
 
@@ -57,7 +57,9 @@ class CheckResult:
 
 
 def _result(name: str, params: dict, lhs: float, rhs: float, note: str = "") -> CheckResult:
-    return CheckResult(name=name, params=dict(params), lhs=float(lhs),
+    """The results of one check call share its params dict, which nothing
+    mutates, rather than each holding a copy."""
+    return CheckResult(name=name, params=params, lhs=float(lhs),
                        rhs=float(rhs), passed=bool(lhs <= rhs),
                        slack=float(rhs - lhs), note=note)
 
@@ -208,16 +210,15 @@ def check_s_norm(m_degree: int) -> tuple[CheckResult, ...]:
     argument bounds ||S||_2 through the symmetric-part spectrum. S[i, j] = 0
     when i + j is odd, so S, S^T S and S+ = (S + S^T)/2 split into an even
     and an odd parity block, and both extreme values are the larger of the
-    two blocks'. The blocks are built directly, never S. The two top
-    eigenvalues of the full matrices come one from each block and lie close
-    together, which slows a power iteration on the full matrix; on each block
-    alone it converges quickly.
+    two blocks'. The blocks are built directly, never S. Each dominant value
+    comes from a Lanczos iteration of matrix-vector products on one block,
+    at most 17 of them per block at M = 1000.
     """
     blocks = _basis_change_blocks(m_degree)
     norm2 = max(dominant_singular_value(b) for b in blocks)
-    # 2 lambda_max(S+) straight from S + S^T: the power iteration's steps
-    # scale exactly by 2, so the bits are those of 2 * lambda_max(S+), and
-    # no halved copy of the 2 MB block sum (at M = 1000) is made.
+    # 2 lambda_max(S+) straight from S + S^T: Lanczos's vectors are those of
+    # S+ and its tridiagonal is exactly twice S+'s, and no halved copy of the
+    # 2 MB block sum (at M = 1000) is made.
     lam2_plus = max(dominant_eigenvalue(b + b.T) for b in blocks)
     params = {"M": m_degree}
     return (

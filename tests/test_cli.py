@@ -425,6 +425,28 @@ class TestExtrapolateCommand:
         assert captured.out == ""
         assert "its bounds overflow at x=1.0: the samples or Q=1e+308" in captured.err
 
+    @pytest.mark.parametrize("rho, at", [
+        ("1e100", "1e60"), ("1e100", "4.99999999999e99"), ("1e308", "1e307"),
+    ])
+    def test_far_point_on_wide_ellipse_exits_2(self, tmp_path, rho, at):
+        # (rho r)^M in the noise term overflows the float power far out on a
+        # wide ellipse, and near its edge; in a fresh interpreter, so that a
+        # traceback or a numpy warning would show on stderr.
+        csv_path = tmp_path / "f.csv"
+        write_samples(csv_path, 400, np.cos)
+        src = str(Path(stable_extrap.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "stable_extrap.cli", "extrapolate", "--input",
+             str(csv_path), "--rho", rho, "--eps", "1e-300", "--Q", "1e300", "--at", at],
+            capture_output=True, env=env, timeout=120)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert proc.stdout == b""
+        assert err.startswith("stable-extrap: error: ") and err.count("\n") == 1, err
+        assert "overflow" in err and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_conditioning_suite_passes(self, tmp_path):

@@ -7,8 +7,9 @@ from numpy.polynomial import chebyshev as npcheb
 from stable_extrap import Basis, GridKind, make_grid
 from stable_extrap.basis import cheb_eval
 from stable_extrap.fastgram import gram_fast
-from stable_extrap.solver import basis_change_matrix
+from stable_extrap.solver import _basis_change_blocks, basis_change_matrix
 from stable_extrap.vandermonde import (
+    _lanczos_max,
     design_matrix,
     dominant_eigenvalue,
     dominant_singular_value,
@@ -23,6 +24,11 @@ class TestDesignMatrix:
     def test_chebyshev_small(self):
         v = design_matrix(make_grid(GridKind.EQUISPACED, 2), 1, Basis.CHEBYSHEV)
         np.testing.assert_array_equal(v, [[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]])
+
+    def test_columns_are_contiguous(self):
+        v = design_matrix(make_grid(GridKind.EQUISPACED, 100), 5, Basis.CHEBYSHEV)
+        assert v.flags.f_contiguous
+        assert all(v[:, k].flags.contiguous for k in range(6))
 
     def test_legendre_third_column(self):
         v = design_matrix(make_grid(GridKind.EQUISPACED, 2), 2, Basis.LEGENDRE)
@@ -119,6 +125,57 @@ class TestJacobi:
 
     def test_dominant_singular_value_of_zero_matrix(self):
         assert dominant_singular_value(np.zeros((3, 4))) == 0.0
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("m_deg", [0, 1, 2, 3, 10, 100, 1000])
+    def test_basis_change_blocks_match_lapack(self, m_deg):
+        for b in _basis_change_blocks(m_deg):
+            sigma = float(np.linalg.svd(b, compute_uv=False)[0])
+            assert abs(dominant_singular_value(b) - sigma) <= 1e-13 * sigma
+            lam = float(np.linalg.eigvalsh(b + b.T)[-1])
+            assert abs(dominant_eigenvalue(b + b.T) - lam) <= 1e-13 * lam
+
+    @staticmethod
+    def _counted(a, apply=None):
+        """_lanczos_max on v -> a v (or apply(v) on R^n, n = a's order), with
+        the number of operator applications."""
+        calls = [0]
+
+        def matvec(v):
+            calls[0] += 1
+            return a @ v if apply is None else apply(v)
+
+        return _lanczos_max(matvec, a.shape[0]), calls[0]
+
+    def test_zero_matrix(self):
+        assert self._counted(np.zeros((4, 4))) == (0.0, 1)
+        assert dominant_eigenvalue(np.zeros((4, 4))) == 0.0
+
+    def test_one_by_one(self):
+        assert self._counted(np.array([[3.5]])) == (3.5, 1)
+        assert dominant_singular_value(np.array([[-2.0]])) == 2.0
+
+    def test_start_vector_is_an_eigenvector(self):
+        # The identity and the all-ones matrix J = 1 1^T both have the
+        # all-ones start as an eigenvector: beta = 0 after one step.
+        for a, lam in ((np.eye(7), 1.0), (np.ones((7, 7)), 7.0)):
+            value, calls = self._counted(a)
+            assert calls == 1
+            assert value == pytest.approx(lam, rel=1e-15)
+
+    def test_rank_one(self):
+        # K_2 holds u, so the Krylov space is invariant after two steps.
+        u = np.random.default_rng(5).uniform(size=30)
+        value, calls = self._counted(np.outer(u, u))
+        assert calls <= 2
+        assert value == pytest.approx(float(u @ u), rel=1e-14)
+
+    def test_m1000_blocks_take_at_most_20_applications(self):
+        # The two operators of check_s_norm: v -> b^T (b v) and S + S^T.
+        for b in _basis_change_blocks(1000):
+            assert self._counted(b, lambda v: b.T @ (b @ v))[1] <= 20
+            assert self._counted(b + b.T)[1] <= 20
 
 
 class TestSpectralReport:

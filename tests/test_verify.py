@@ -281,12 +281,12 @@ class TestSuites:
                 assert abs(got - want) <= 1e-9 * max(abs(got), abs(want)), (key, got, want)
 
     def test_all_suite_bits_independent_of_blas_threads(self, outputs_per_blas_thread_count):
-        """Every lhs and rhs of run_suite("all"), and ||S||_2 for M = 150,
-        160, ..., 1000, have the same bits under one and two BLAS threads.
-        eigvalsh on the parity blocks changes run_suite's bits at M = 1000; a
-        power iteration on a formed S^T S, whose matrix product rounds by
-        thread count, changed ||S||_2 at a few M of the sweep on a 2-vCPU
-        OpenBLAS 0.3.31 host."""
+        """Every lhs and rhs of run_suite("all"), and ||S||_2 and
+        2 lambda_max(S+) for M = 150, 160, ..., 1000, have the same bits
+        under one and two BLAS threads. eigvalsh on the parity blocks changes
+        run_suite's bits at M = 1000; a power iteration on a formed S^T S,
+        whose matrix product rounds by thread count, changed ||S||_2 at a few
+        M of the sweep on a 2-vCPU OpenBLAS 0.3.31 host."""
         script = (
             "import hashlib, struct\n"
             "from stable_extrap import run_suite\n"
@@ -296,7 +296,10 @@ class TestSuites:
             "    h.update(struct.pack('<dd', r.lhs, r.rhs))\n"
             "print(h.hexdigest())\n"
             "from stable_extrap.verify import check_s_norm\n"
-            "norms = [check_s_norm(m)[0].lhs for m in range(150, 1001, 10)]\n"
+            "norms = []\n"
+            "for m in range(150, 1001, 10):\n"
+            "    checks = check_s_norm(m)\n"
+            "    norms += [checks[0].lhs, checks[2].lhs]\n"
             "print(hashlib.sha1(struct.pack(f'<{len(norms)}d', *norms)).hexdigest())\n"
         )
         outputs = outputs_per_blas_thread_count(script)
