@@ -59,9 +59,10 @@ def _check_equispaced(x: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Grid:
-    """The N+1 equispaced points x_k = 2k/N - 1, checked here; immutable and
-    safe to share. For N < 1e12 the check also makes the points strictly
-    increasing. kind has one value and is kept for callers that name it."""
+    """The N+1 equispaced points x_k = 2k/N - 1, checked here unless
+    make_grid computed them; immutable and safe to share. For N < 1e12 the
+    check also makes the points strictly increasing. kind has one value and
+    is kept for callers that name it."""
 
     points: np.ndarray
     kind: GridKind = GridKind.EQUISPACED
@@ -180,4 +181,15 @@ def make_grid(kind: GridKind, n: int) -> Grid:
     +-1, so n >= 1 is required)."""
     if n < 1:
         raise ValueError("an equispaced grid needs n >= 1")
-    return Grid(2.0 * np.arange(n + 1) / n - 1.0, kind)
+    # In place on one array, with the bits of 2.0 * np.arange(n + 1) / n - 1.0.
+    points = np.arange(n + 1, dtype=float)
+    points *= 2.0
+    points /= n
+    points -= 1.0
+    points.setflags(write=False)
+    # These are the points Grid's check compares against, so it is skipped,
+    # and so is Grid's copy of an array no caller holds.
+    grid = object.__new__(Grid)
+    object.__setattr__(grid, "points", points)
+    object.__setattr__(grid, "kind", GridKind(kind))
+    return grid

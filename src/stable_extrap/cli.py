@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -67,7 +68,8 @@ def read_samples_csv(path: str) -> SampleSet:
     grid, rejecting x columns that miss x_k = 2k/N - 1 by more than 1e-12.
     The first non-blank line is a header if its first cell is not a number;
     empty lines are skipped and cells may be quoted with '"'. Errors cite
-    the file's 1-based line."""
+    the file's 1-based line. A regular file with more than _SPLIT_BYTES of
+    data is parsed in two processes where os.fork exists (_parse_halves)."""
     skip = 0  # lines before the first line given to loadtxt
     try:
         with open(path, encoding="utf-8") as fh:
@@ -83,7 +85,11 @@ def read_samples_csv(path: str) -> SampleSet:
                 skip += 1  # the header
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+                if os.path.isfile(path):
+                    data = _parse_file(path, skip)
+                else:  # a pipe cannot be opened again: read on from fh
+                    data = _loadtxt(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -107,16 +113,144 @@ def read_samples_csv(path: str) -> SampleSet:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _loadtxt_error(path: str, skip: int, msg: str) -> CliError:
+# Data bytes after the header above which a file is parsed in two processes,
+# so that small files do not pay for a fork.
+_SPLIT_BYTES = 1 << 20
+_COUNT_CHUNK = 1 << 20  # bytes read at a time when counting lines
+
+
+def _loadtxt(source, **kwargs) -> np.ndarray:
+    """np.loadtxt with the CSV options. Given a path, numpy reads the file in
+    blocks; given a file object, it iterates over its lines, more slowly."""
+    return np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                      encoding="utf-8", **kwargs)
+
+
+def _parse_file(path: str, skip: int) -> np.ndarray:
+    """loadtxt of the regular file `path` after its first `skip` lines; in
+    two processes, cut at the first newline past the middle of the data,
+    where the data is large, os.fork exists and the lines before the cut are
+    loadtxt's rows (_count_lines)."""
+    with open(path, "rb") as raw:
+        for _ in range(skip):
+            raw.readline()
+        start, size = raw.tell(), os.fstat(raw.fileno()).st_size
+        if size - start <= _SPLIT_BYTES or not hasattr(os, "fork"):
+            return _loadtxt(path, skiprows=skip)
+        raw.seek(start + (size - start) // 2)
+        raw.readline()
+        cut = raw.tell()
+        raw.seek(0)
+        header_lines = _count_lines(raw, start)  # None if not the `skip` lines loadtxt skips
+        counts = _count_lines(raw, cut) if header_lines and cut < size else None
+    if counts is None:
+        return _loadtxt(path, skiprows=skip)
+    lines, rows = counts
+    return _parse_halves(path, skip, skip + lines, rows, size - cut)
+
+
+def _count_lines(raw, stop: int) -> tuple[int, int] | None:
+    """Lines and non-empty lines from raw's position, a line start, to byte
+    `stop`, which follows a newline. None where a line may not be one of
+    loadtxt's rows: a CR that ends a line alone (loadtxt reads it as a
+    newline), or a line with an odd number of quotes (a quoted cell that
+    runs on to the next line); and where a line is longer than a chunk."""
+    lines = rows = 0
+    pos = raw.tell()
+    while pos < stop:
+        chunk = raw.read(min(stop - pos, _COUNT_CHUNK))
+        end = chunk.rfind(b"\n") + 1  # whole lines only
+        if end == 0:
+            return None
+        pos = raw.seek(pos + end)
+        a = np.frombuffer(chunk, np.uint8, end)
+        newline = a == 10
+        # An empty line is a newline, or a CR and a newline, at a line start.
+        empty = np.count_nonzero(newline[1:] & newline[:-1]) + int(a[0] == 10)
+        if chunk.find(b"\r", 0, end) >= 0:
+            cr_lf = (a[:-1] == 13) & newline[1:]
+            if np.count_nonzero(cr_lf) != chunk.count(b"\r", 0, end):
+                return None
+            empty += np.count_nonzero(cr_lf[1:] & newline[:-2]) + int(cr_lf[0])
+        if chunk.find(b'"', 0, end) >= 0 and np.any(
+                np.searchsorted(np.flatnonzero(a == 34), np.flatnonzero(newline)) % 2):
+            return None
+        n = np.count_nonzero(newline)
+        lines += n
+        rows += n - empty
+    return int(lines), int(rows)
+
+
+def _parse_halves(path: str, skip: int, lines: int, rows: int, tail_bytes: int) -> np.ndarray:
+    """loadtxt of `path` after its first `skip` lines, in two processes. The
+    first `lines` lines hold the first `rows` data rows; a forked child parses
+    the lines after them into a shared mmap and replies through a pipe with
+    the shape or its ValueError. The parent parses the rows before the cut
+    and one more, so that numpy checks and converts the first row past the
+    cut as one parse of the file would; an error there, or before, is the
+    parent's and is raised first. The child's rows are offset by `rows` in
+    its errors. The child calls no BLAS and leaves by os._exit."""
+    import mmap
+    import signal
+
+    # At most one row of 8-byte cells per 2 bytes of text ("1,2\n" is two
+    # cells), so 4 bytes per byte of the tail always hold its rows.
+    with mmap.mmap(-1, 4 * tail_bytes + 16) as buf:
+        read_fd, write_fd = os.pipe()
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns when a process with threads (OpenBLAS's)
+            # forks; the child runs no code that needs them.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                try:
+                    tail = _loadtxt(path, skiprows=lines)
+                    np.frombuffer(buf, float, tail.size)[:] = tail.ravel()
+                    reply = f"{tail.shape[0]} {tail.shape[1]}"
+                except ValueError as exc:
+                    reply = f"!{exc}"
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(reply.encode("utf-8"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        try:
+            with open(read_fd, "rb") as pipe:
+                try:
+                    head = _loadtxt(path, skiprows=skip, max_rows=rows + 1)
+                except BaseException:
+                    os.kill(pid, signal.SIGKILL)
+                    raise
+                reply = pipe.read().decode("utf-8")
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if not reply:
+            raise CliError(f"{path}: the process parsing the second half of the file "
+                           f"ended without a result (exit status "
+                           f"{os.waitstatus_to_exitcode(status)})")
+        if reply.startswith("!"):
+            raise _loadtxt_error(path, skip, reply[1:], rows)
+        r, c = map(int, reply.split())
+        if r == 0:  # only blank lines past the cut: head holds every row
+            return head
+        return np.concatenate((head[:rows], np.frombuffer(buf, float, r * c).reshape(r, c)))
+
+
+def _loadtxt_error(path: str, skip: int, msg: str, rows_before: int = 0) -> CliError:
     """Restate a loadtxt error at the file line of the bad row. numpy counts
     rows over non-empty lines, from 0 in conversion errors and from 1 in
-    column-count errors."""
+    column-count errors; `rows_before` data rows preceded the parsed part."""
     if m := re.search(r"changed from (\d+) to (\d+) at row (\d+)", msg):
         first, got, row = map(int, m.groups())
-        row, got = (0, first) if first != 2 else (row - 1, got)
+        row, got = (0, first) if first != 2 else (rows_before + row - 1, got)
         return _row_error(path, skip, row, f"expected two columns x,y, got {got}")
     if m := re.search(r"could not convert (string .*) to float64 at row (\d+), column (\d+)", msg):
-        return _row_error(path, skip, int(m[2]), f"column {m[3]}: could not convert {m[1]} to float")
+        return _row_error(path, skip, rows_before + int(m[2]),
+                          f"column {m[3]}: could not convert {m[1]} to float")
     return CliError(f"{path}: {msg}")
 
 

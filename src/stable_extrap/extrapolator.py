@@ -135,13 +135,17 @@ def _explicit_bound(params: ProblemParams, m_degree: int, r: float,
         / (sigma_min * (params.rho - 1.0))
         + r / (1.0 - r)
     ) * r ** m_degree
-    try:
-        growth = (params.rho * r) ** m_degree
-    except OverflowError:
-        growth = math.inf
     noise = ((m_degree + 1) * math.sqrt(params.n_samples + 1) * params.eps
-             / sigma_min * growth)
+             / sigma_min * _growth(params.rho, r, m_degree))
     return truncation + noise
+
+
+def _growth(rho: float, r: float, m_degree: int) -> float:
+    """The noise term's growth (rho r)^M; infinite where the power overflows."""
+    try:
+        return (rho * r) ** m_degree
+    except OverflowError:
+        return math.inf
 
 
 def _asymptotic_factor(params: ProblemParams, regime: Regime,
@@ -189,8 +193,10 @@ def extrapolate(samples: SampleSet, params: ProblemParams, xs) -> ExtrapolationR
             bound_asymptotic_factor=_asymptotic_factor(params, regime, r, alpha),
         )
         if not all(map(math.isfinite, astuple(point))):
-            raise ValueError(f"the fitted value or its bounds overflow at x={x!r}: "
-                             f"the samples or Q={params.q!r} are too large")
+            cause = (f"the point is too far out for rho={params.rho!r}"
+                     if math.isinf(_growth(params.rho, r, m_star)) else
+                     f"the samples or Q={params.q!r} are too large")
+            raise ValueError(f"the fitted value or its bounds overflow at x={x!r}: {cause}")
         points.append(point)
     return ExtrapolationReport(m_star, regime, degenerate, sigma_min,
                                fit_result, tuple(points))

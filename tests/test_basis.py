@@ -171,6 +171,24 @@ class TestEquispacedCheck:
     def test_make_grid_accepted(self, n):
         grid = make_grid(GridKind.EQUISPACED, n)
         assert grid.kind == GridKind.EQUISPACED and grid.n == n
+        basis._check_equispaced(grid.points)
+
+    @pytest.mark.parametrize("n", [1, 3, 400, 999_999, 1_000_000, 2 ** 22 + 1, 4_000_000])
+    def test_make_grid_keeps_the_bits_of_the_formula(self, n):
+        want = 2.0 * np.arange(n + 1) / n - 1.0
+        assert make_grid(GridKind.EQUISPACED, n).points.tobytes() == want.tobytes()
+
+    def test_make_grid_is_not_checked_again(self, monkeypatch):
+        """make_grid computes the points the check compares against, so only
+        a Grid built from a caller's array is checked."""
+        def refuse(x):
+            raise ValueError("checked")
+
+        monkeypatch.setattr(basis, "_check_equispaced", refuse)
+        grid = make_grid(GridKind.EQUISPACED, 8)
+        assert not grid.points.flags.writeable
+        with pytest.raises(ValueError, match="checked"):
+            Grid(grid.points)
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

@@ -3,8 +3,11 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,17 +148,31 @@ def _oracle_values(text: str) -> np.ndarray:
 
 
 _Y_FORMATS = (repr, lambda v: "%.17g" % v, lambda v: "%.6e" % v)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
+_ORACLE_INPUTS = dict(
     ys=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40),
     formats=st.lists(st.sampled_from(_Y_FORMATS), min_size=40, max_size=40),
     blanks=st.lists(st.booleans(), min_size=41, max_size=41),
     header=st.booleans(),
     eol=st.sampled_from(["\n", "\r\n"]),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_ORACLE_INPUTS)
 def test_reader_matches_csv_float_oracle(tmp_path_factory, ys, formats, blanks, header, eol):
+    _check_reader_against_oracle(tmp_path_factory, ys, formats, blanks, header, eol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_ORACLE_INPUTS)
+def test_reader_matches_csv_float_oracle_in_two_processes(tmp_path_factory, ys, formats,
+                                                          blanks, header, eol):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stable_extrap.cli, "_SPLIT_BYTES", 0)
+        _check_reader_against_oracle(tmp_path_factory, ys, formats, blanks, header, eol)
+
+
+def _check_reader_against_oracle(tmp_path_factory, ys, formats, blanks, header, eol):
     grid = make_grid(GridKind.EQUISPACED, len(ys) - 1)
     lines = ["x,y"] if header else []
     for k, (x, y) in enumerate(zip(grid.points.tolist(), ys)):
@@ -230,6 +247,311 @@ class TestBadInput:
         doc = json.loads((tmp_path / "o.json").read_text())
         assert doc["N"] == 1
         np.testing.assert_allclose(doc["coeffs"], [2.0], rtol=1e-15)
+
+
+@pytest.fixture
+def two_processes(monkeypatch):
+    """Parse every file with data in two processes, where the cut leaves a
+    second half."""
+    monkeypatch.setattr(stable_extrap.cli, "_SPLIT_BYTES", 0)
+
+
+@pytest.mark.usefixtures("two_processes")
+class TestReadSamplesInTwoProcesses(TestReadSamples):
+    pass
+
+
+@pytest.mark.usefixtures("two_processes")
+class TestBadInputInTwoProcesses(TestBadInput):
+    pass
+
+
+def _data_lines(n, eol="\n", quoted=False):
+    grid = make_grid(GridKind.EQUISPACED, n)
+    cell = '"{!r}"' if quoted else "{!r}"
+    return [f"{cell},{cell}".format(float(x), float(np.cos(x))) + eol for x in grid.points]
+
+
+def _first_line_past_cut(lines):
+    """Index into `lines` of the first line after the cut, the newline that
+    ends the line holding the middle byte of the data."""
+    data = sum(len(line.encode()) for line in lines)
+    mid, pos = data // 2, 0
+    for i, line in enumerate(lines):
+        pos += len(line.encode())
+        if pos > mid:
+            return i + 1
+    raise AssertionError("no line holds the middle byte")
+
+
+class TestTwoProcessIngest:
+    """read_samples_csv on a file cut in two at a newline near the middle of
+    its data: the same bits and the same messages as one process."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        fork = os.fork
+
+        def counting_fork():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    def read_both(self, monkeypatch, forks, path):
+        """The result of two processes, then one, and the forks of the first;
+        a result is the values' bytes or the CliError message."""
+        out = []
+        for threshold in (0, 1 << 62):
+            monkeypatch.setattr(stable_extrap.cli, "_SPLIT_BYTES", threshold)
+            forks.clear()
+            try:
+                out.append(read_samples_csv(str(path)).values.tobytes())
+            except CliError as exc:
+                out.append(str(exc))
+            out.append(len(forks))
+        assert out[3] == 0
+        return out[0], out[2], out[1]
+
+    # One bad row per error class of _loadtxt_error, and its message.
+    BAD_ROWS = {
+        "cell": (lambda line: line.split(",")[0] + ",abc\n",
+                 "column 2: could not convert string 'abc' to float"),
+        "x cell": (lambda line: "zz," + line.split(",")[1],
+                   "column 1: could not convert string 'zz' to float"),
+        "three": (lambda line: line[:-1] + ",9\n", "expected two columns x,y, got 3"),
+        "one": (lambda line: line.split(",")[0] + "\n", "expected two columns x,y, got 1"),
+    }
+
+    @pytest.mark.parametrize("header", [True, False])
+    @pytest.mark.parametrize("kind", BAD_ROWS)
+    @pytest.mark.parametrize("where", [-1, 0, 1])
+    def test_bad_row_next_to_cut_cites_its_line(self, tmp_path, monkeypatch, forks,
+                                                header, kind, where):
+        bad, message = self.BAD_ROWS[kind]
+        lines = _data_lines(400)
+        k = _first_line_past_cut(lines) + where
+        lines[k] = bad(lines[k])
+        head = ["x,y\n"] if header else []
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(head + lines))
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 1
+        assert two == one == f"{path}:{k + 1 + len(head)}: {message}"
+
+    def test_column_count_of_every_row_changed_at_cut(self, tmp_path, monkeypatch, forks):
+        # Three columns from the first row of the second half on: reported there.
+        lines = _data_lines(400)
+        k = _first_line_past_cut(lines)
+        lines[k:] = [line[:-1] + ",9\n" for line in lines[k:]]
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(["x,y\n"] + lines))
+        two, one, _ = self.read_both(monkeypatch, forks, path)
+        assert two == one == f"{path}:{k + 2}: expected two columns x,y, got 3"
+
+    def test_three_columns_throughout(self, tmp_path, monkeypatch, forks):
+        # numpy names the count of the first row; with a bad cell past the
+        # cut, the cell is named, as in one parse.
+        lines = [line[:-1] + ",9\n" for line in _data_lines(400)]
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(lines))
+        two, one, _ = self.read_both(monkeypatch, forks, path)
+        assert two == one == f"{path}:1: expected two columns x,y, got 3"
+        k = _first_line_past_cut(lines) + 5
+        lines[k] = "0.5,abc,9\n"
+        path.write_text("".join(lines))
+        two, one, _ = self.read_both(monkeypatch, forks, path)
+        assert two == one == f"{path}:{k + 1}: column 2: could not convert string 'abc' to float"
+
+    def test_first_half_error_takes_precedence(self, tmp_path, monkeypatch, forks):
+        lines = _data_lines(400)
+        k = _first_line_past_cut(lines)
+        lines[k - 10] = "0.0,abc\n"
+        lines[k + 10] = "0.0\n"
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(["x,y\n"] + lines))
+        two, one, _ = self.read_both(monkeypatch, forks, path)
+        assert two == one == f"{path}:{k - 8}: column 2: could not convert string 'abc' to float"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("at", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_blank_lines_at_cut(self, tmp_path, monkeypatch, forks, at, eol):
+        lines = _data_lines(400, eol)
+        k = _first_line_past_cut(lines) + at
+        lines[k:k] = [eol] * 5
+        lines[k + 20] = "0.0,zz" + eol
+        path = tmp_path / "blank.csv"
+        path.write_bytes("".join(["x,y" + eol] + lines).encode())
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 1 and two == one
+        lines[k + 20] = _data_lines(400, eol)[k + 15]
+        path.write_bytes("".join(["x,y" + eol] + lines).encode())
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 1 and two == one
+        assert two == np.cos(make_grid(GridKind.EQUISPACED, 400).points).tobytes()
+
+    def test_blank_second_half(self, tmp_path, monkeypatch, forks):
+        # The cut falls among blank lines, and the child reads no rows.
+        path = tmp_path / "tail.csv"
+        path.write_text("".join(["x,y\n"] + _data_lines(40) + ["\n"] * 4000))
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 1 and two == one
+
+    @pytest.mark.parametrize("header", ['"x","y"\n', "x,y\n", ""])
+    def test_quoted_cells(self, tmp_path, monkeypatch, forks, header):
+        path = tmp_path / "q.csv"
+        path.write_text(header + "".join(_data_lines(400, quoted=True)))
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 1 and two == one
+
+    def test_cell_quoted_across_the_cut_is_read_in_one_process(self, tmp_path, monkeypatch, forks):
+        # A quoted cell may hold a newline, so lines are not rows: no cut.
+        lines = _data_lines(400)
+        k = _first_line_past_cut(lines)
+        x, y = lines[k - 1].split(",")
+        lines[k - 1] = f'{x},"{y}'
+        lines.insert(k, '"\n')
+        path = tmp_path / "q.csv"
+        path.write_text("".join(["x,y\n"] + lines))
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 0 and two == one
+
+    def test_lone_cr_is_read_in_one_process(self, tmp_path, monkeypatch, forks):
+        # loadtxt reads a lone CR as a newline; the first 100 lines end in one.
+        lines = _data_lines(400)
+        lines[:100] = [line[:-1] + "\r" for line in lines[:100]]
+        path = tmp_path / "cr.csv"
+        path.write_bytes("".join(["x,y\r"] + lines).encode())
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 0 and two == one
+        assert two == np.cos(make_grid(GridKind.EQUISPACED, 400).points).tobytes()
+
+    def test_threshold(self, tmp_path, monkeypatch, forks):
+        path = tmp_path / "s.csv"
+        path.write_text("".join(["x,y\n"] + _data_lines(400)))
+        data_bytes = path.stat().st_size - len("x,y\n")
+        monkeypatch.setattr(stable_extrap.cli, "_SPLIT_BYTES", data_bytes)
+        one = read_samples_csv(str(path)).values
+        assert len(forks) == 0
+        monkeypatch.setattr(stable_extrap.cli, "_SPLIT_BYTES", data_bytes - 1)
+        two = read_samples_csv(str(path)).values
+        assert len(forks) == 1 and two.tobytes() == one.tobytes()
+
+    def test_forks_once_for_a_large_file_only(self, tmp_path, forks):
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        write_samples(small, 400, np.cos)
+        _, ys = write_samples(large, 60_000, np.cos)
+        assert 1.5e6 < large.stat().st_size < 3e6
+        read_samples_csv(str(small))
+        assert len(forks) == 0
+        assert read_samples_csv(str(large)).values.tobytes() == ys.tobytes()
+        assert len(forks) == 1
+
+    def test_same_bits_without_fork(self, tmp_path, monkeypatch, forks):
+        path = tmp_path / "s.csv"
+        _, ys = write_samples(path, 60_000, np.sin)
+        monkeypatch.delattr(os, "fork")
+        assert read_samples_csv(str(path)).values.tobytes() == ys.tobytes()
+        assert len(forks) == 0
+
+    def test_first_half_error_stops_the_child(self, tmp_path, monkeypatch):
+        # The child parses without max_rows; here it would sleep for a minute.
+        loadtxt = stable_extrap.cli._loadtxt
+
+        def slow_child(source, **kwargs):
+            if "max_rows" not in kwargs:
+                time.sleep(60)
+            return loadtxt(source, **kwargs)
+
+        monkeypatch.setattr(stable_extrap.cli, "_loadtxt", slow_child)
+        monkeypatch.setattr(stable_extrap.cli, "_SPLIT_BYTES", 0)
+        path = tmp_path / "s.csv"
+        path.write_text("x,y\n-1.0,abc\n" + "".join(_data_lines(400)[1:]))
+        start = time.monotonic()
+        with pytest.raises(CliError, match=r"s\.csv:2: column 2"):
+            read_samples_csv(str(path))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fork_warning_is_silenced(self, tmp_path, monkeypatch):
+        # From Python 3.12, os.fork in a process with threads (OpenBLAS's)
+        # warns; under -m the CLI is __main__, where that would print.
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded, use of fork() may lead "
+                          "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        path = tmp_path / "s.csv"
+        _, ys = write_samples(path, 60_000, np.cos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_samples_csv(str(path)).values.tobytes() == ys.tobytes()
+
+    def test_child_killed_by_a_signal(self, tmp_path, monkeypatch):
+        # The child parses without max_rows; here it kills itself instead.
+        loadtxt = stable_extrap.cli._loadtxt
+
+        def child_dies(source, **kwargs):
+            if "max_rows" not in kwargs:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return loadtxt(source, **kwargs)
+
+        monkeypatch.setattr(stable_extrap.cli, "_loadtxt", child_dies)
+        monkeypatch.setattr(stable_extrap.cli, "_SPLIT_BYTES", 0)
+        path = tmp_path / "s.csv"
+        write_samples(path, 400, np.cos)
+        with pytest.raises(CliError, match=r"ended without a result \(exit status -9\)$"):
+            read_samples_csv(str(path))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_piped_input(tmp_path):
+    """A pipe cannot be opened a second time, so it is read on from the
+    handle that found the header."""
+    path = tmp_path / "s.csv"
+    write_samples(path, 60_000, np.cos)
+    args = ["extrapolate", "--rho", "2", "--eps", "1e-10", "--Q", "1.5", "--at", "1.0,1.1"]
+    src = str(Path(stable_extrap.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = [sys.executable, "-m", "stable_extrap.cli", *args, "--input"]
+    piped = subprocess.run(run + ["/dev/stdin"], input=path.read_bytes(),
+                           capture_output=True, env=env, timeout=120)
+    direct = subprocess.run(run + [str(path)], capture_output=True, env=env, timeout=120)
+    assert piped.returncode == direct.returncode == 0, piped.stderr.decode()
+    assert piped.stderr == direct.stderr == b""
+    assert piped.stdout == direct.stdout
+
+
+def test_two_process_ingest_in_a_fresh_interpreter(tmp_path, capsys, monkeypatch):
+    """Above the threshold, `python -m stable_extrap.cli` exits 0, writes
+    nothing to stderr and prints the document of a one-process parse."""
+    path = tmp_path / "f.csv"
+    write_samples(path, 60_000, lambda x: 1.0 / (1.0 + x ** 2))
+    assert path.stat().st_size > stable_extrap.cli._SPLIT_BYTES
+    args = ["extrapolate", "--input", str(path), "--rho", repr(RHO_SILVER),
+            "--eps", "1e-12", "--Q", "1", "--at", "1.0,1.1,1.2"]
+    monkeypatch.delattr(os, "fork")
+    assert main(args) == 0
+    one_process = capsys.readouterr().out
+    src = str(Path(stable_extrap.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "stable_extrap.cli", *args],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == one_process.encode("utf-8")
 
 
 class TestFitCommand:
@@ -446,6 +768,7 @@ class TestExtrapolateCommand:
         assert proc.stdout == b""
         assert err.startswith("stable-extrap: error: ") and err.count("\n") == 1, err
         assert "overflow" in err and "Traceback" not in err
+        assert f"too far out for rho={float(rho)!r}" in err and "Q=" not in err
 
 
 class TestVerifyCommand:
