@@ -9,7 +9,7 @@ polynomials). Chebyshev series are summed by Clenshaw's backward recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from enum import Enum
 
 import numpy as np
@@ -59,17 +59,22 @@ def _check_equispaced(x: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Grid:
-    """The N+1 equispaced points x_k = 2k/N - 1, checked here unless
-    make_grid computed them; immutable and safe to share. For N < 1e12 the
-    check also makes the points strictly increasing. kind has one value and
-    is kept for callers that name it."""
+    """The N+1 equispaced points x_k = 2k/N - 1, copied and checked here
+    unless make_grid computed them (_computed); immutable and safe to share.
+    For N < 1e12 the check also makes the points strictly increasing. kind
+    has one value and is kept for callers that name it."""
 
     points: np.ndarray
     kind: GridKind = GridKind.EQUISPACED
+    _: KW_ONLY
+    _computed: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", _freeze(self.points))
+    def __post_init__(self, _computed):
         object.__setattr__(self, "kind", GridKind(self.kind))
+        if _computed:  # the check's own reference points, in an array no caller holds
+            self.points.setflags(write=False)
+            return
+        object.__setattr__(self, "points", _freeze(self.points))
         if self.points.ndim != 1:
             raise ValueError("grid needs a 1-d point vector")
         _check_equispaced(self.points)
@@ -186,10 +191,4 @@ def make_grid(kind: GridKind, n: int) -> Grid:
     points *= 2.0
     points /= n
     points -= 1.0
-    points.setflags(write=False)
-    # These are the points Grid's check compares against, so it is skipped,
-    # and so is Grid's copy of an array no caller holds.
-    grid = object.__new__(Grid)
-    object.__setattr__(grid, "points", points)
-    object.__setattr__(grid, "kind", GridKind(kind))
-    return grid
+    return Grid(points, kind, _computed=True)

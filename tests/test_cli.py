@@ -169,6 +169,7 @@ def test_reader_matches_csv_float_oracle_in_two_processes(tmp_path_factory, ys, 
                                                           blanks, header, eol):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stable_extrap.cli, "_SPLIT_BYTES", 0)
+        mp.setattr(stable_extrap.cli, "_cpus", lambda: 2)
         _check_reader_against_oracle(tmp_path_factory, ys, formats, blanks, header, eol)
 
 
@@ -254,6 +255,7 @@ def two_processes(monkeypatch):
     """Parse every file with data in two processes, where the cut leaves a
     second half."""
     monkeypatch.setattr(stable_extrap.cli, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(stable_extrap.cli, "_cpus", lambda: 2)
 
 
 @pytest.mark.usefixtures("two_processes")
@@ -287,6 +289,10 @@ def _first_line_past_cut(lines):
 class TestTwoProcessIngest:
     """read_samples_csv on a file cut in two at a newline near the middle of
     its data: the same bits and the same messages as one process."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(stable_extrap.cli, "_cpus", lambda: 2)
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -457,6 +463,41 @@ class TestTwoProcessIngest:
         monkeypatch.delattr(os, "fork")
         assert read_samples_csv(str(path)).values.tobytes() == ys.tobytes()
         assert len(forks) == 0
+
+    def test_one_cpu_parses_in_one_process(self, tmp_path, monkeypatch, forks):
+        path = tmp_path / "s.csv"
+        _, ys = write_samples(path, 60_000, np.sin)
+        monkeypatch.setattr(stable_extrap.cli, "_cpus", lambda: 1)
+        assert read_samples_csv(str(path)).values.tobytes() == ys.tobytes()
+        assert len(forks) == 0
+
+    def test_cpus_of_this_process(self):
+        assert 1 <= stable_extrap.cli._cpus() <= (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("short_of", ["mmap", "pipe", "fork"])
+    def test_no_resources_for_a_second_process(self, tmp_path, monkeypatch, forks,
+                                               short_of):
+        """Where the shared rows, the pipe or the child cannot be had, one
+        process parses, and no descriptor is left open."""
+        import errno
+        import mmap
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "refused")
+
+        target = {"mmap": (mmap, "mmap"), "pipe": (os, "pipe"), "fork": (os, "fork")}
+        monkeypatch.setattr(*target[short_of], refuse)
+        path = tmp_path / "s.csv"
+        _, ys = write_samples(path, 60_000, np.sin)
+        fd_dir = Path("/proc/self/fd")
+        before = sorted(os.listdir(fd_dir)) if fd_dir.is_dir() else None
+        assert read_samples_csv(str(path)).values.tobytes() == ys.tobytes()
+        assert len(forks) == 0
+        if before is not None:
+            assert sorted(os.listdir(fd_dir)) == before
+        path.write_text("x,y\n" + "".join(_data_lines(60_000)[:-1]) + "1.0,abc\n")
+        with pytest.raises(CliError, match=r"s\.csv:60002: column 2"):
+            read_samples_csv(str(path))
 
     def test_first_half_error_stops_the_child(self, tmp_path, monkeypatch):
         # The child parses without max_rows; here it would sleep for a minute.
