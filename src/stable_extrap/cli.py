@@ -263,7 +263,8 @@ def _parse_halves(path: str, skip: int, lines: int, rows: int, tail_bytes: int) 
 def _loadtxt_error(path: str, skip: int, msg: str, rows_before: int = 0) -> CliError:
     """Restate a loadtxt error at the file line of the bad row. numpy counts
     rows over non-empty lines, from 0 in conversion errors and from 1 in
-    column-count errors; `rows_before` data rows preceded the parsed part."""
+    column-count errors; `rows_before` data rows preceded the parsed part.
+    A decode error cites the file's first line that is not UTF-8."""
     if m := re.search(r"changed from (\d+) to (\d+) at row (\d+)", msg):
         first, got, row = map(int, m.groups())
         row, got = (0, first) if first != 2 else (rows_before + row - 1, got)
@@ -271,6 +272,13 @@ def _loadtxt_error(path: str, skip: int, msg: str, rows_before: int = 0) -> CliE
     if m := re.search(r"could not convert (string .*) to float64 at row (\d+), column (\d+)", msg):
         return _row_error(path, skip, rows_before + int(m[2]),
                           f"column {m[3]}: could not convert {m[1]} to float")
+    if msg.startswith("'utf-8' codec can't decode") and os.path.isfile(path):
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for number, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return CliError(f"{path}:{number}: {exc}")
     return CliError(f"{path}: {msg}")
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import Basis, GridKind, SampleSet, clenshaw_eval, make_grid
-from .extrapolator import ProblemParams
+from .extrapolator import ProblemParams, _length
 from .fastgram import gram_fast, rhs
 from .solver import fit
 from .vandermonde import design_matrix, gram_naive
@@ -144,8 +144,7 @@ def run_alpha_profile(rho: float, eps: float, x_count: int) -> Table:
     log_rho = math.log(rho)
     alphas, factors, capped = [], [], []
     for x in xs:
-        u = x + math.sqrt(max(x * x - 1.0, 0.0))
-        r = u / rho
+        r = _length(x, rho)
         if r >= 1.0:
             alphas.append(0.0)
             factors.append(FACTOR_CAP)
@@ -217,7 +216,7 @@ def run_extrapolation_decay(f_id: str, x_list, m_max: int) -> Table:
             err = abs(float(fn(x)) - float(clenshaw_eval(result.series, x)))
             cols[f"abs_error_x={x:g}"].append(err)
         for x in xs:
-            cols[f"rate_x={x:g}"].append((x + math.sqrt(x * x - 1.0)) / rho)
+            cols[f"rate_x={x:g}"].append(_length(x, rho))
     return Table(f"extrapolation-decay-{f_id}", cols)
 
 

@@ -106,6 +106,12 @@ def optimal_degree(params: ProblemParams) -> DegreeChoice:
     return DegreeChoice(m_star, regime, params.degenerate)
 
 
+def _length(x: float, rho: float) -> float:
+    """r = (x + sqrt(x-1) sqrt(x+1))/rho for x >= 1, unchecked: x^2 - 1
+    overflows past x = 1.3e154 and cancels near x = 1, where x - 1 is exact."""
+    return (x + math.sqrt(x - 1.0) * math.sqrt(x + 1.0)) / rho
+
+
 def r_alpha(x: float, rho: float) -> tuple[float, float]:
     """Nondimensional length r(x) and decay exponent alpha(x).
 
@@ -119,7 +125,7 @@ def r_alpha(x: float, rho: float) -> tuple[float, float]:
         raise ValueError(
             f"x={x} is outside the reachable interval [1, {edge}) for rho={rho}"
         )
-    r = (x + math.sqrt(x * x - 1.0)) / rho
+    r = _length(x, rho)
     alpha = -math.log(r) / math.log(rho)
     return r, alpha
 

@@ -193,19 +193,16 @@ def _proxies(nu: np.ndarray, first: int, width: int, n: int, tau: np.ndarray):
 
 
 def _fold(y: np.ndarray, lo: int, s: np.ndarray, d: np.ndarray):
-    """Write s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k} for k = lo, lo+1, ...
-    into s and d, zero past the folded half k <= N/2. The middle point of an
-    even N goes into s only."""
+    """Write s_k = y_k + y_{N-k} and d_k = y_k - y_{N-k} into s and d for the
+    len(s) points k = lo, lo+1, ... of the folded half k <= N/2. The middle
+    point of an even N goes into s only."""
     n = y.size - 1
-    half = n // 2 + 1
-    count = min(s.size, half - lo)
+    hi = lo + s.size
     y_mirror = y[::-1]
-    np.add(y[lo:lo + count], y_mirror[lo:lo + count], out=s[:count])
-    np.subtract(y[lo:lo + count], y_mirror[lo:lo + count], out=d[:count])
-    s[count:] = 0.0
-    d[count:] = 0.0
-    if lo + count == half and n % 2 == 0:
-        s[count - 1], d[count - 1] = y[n // 2], 0.0
+    np.add(y[lo:hi], y_mirror[lo:hi], out=s)
+    np.subtract(y[lo:hi], y_mirror[lo:hi], out=d)
+    if hi == n // 2 + 1 and n % 2 == 0:
+        s[-1], d[-1] = y[n // 2], 0.0
 
 
 def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
@@ -231,54 +228,47 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     lam (_panel_operators). So the w points of a panel become K proxies
     z = c_p + (w/N) tau_k, and the recurrence runs over the proxies only.
     The weights are linear in the samples, so s and d are never formed for a
-    panel whose points all have 2k < N: a block of P such panels is one
-    (P x w) view of y, its mirror images y_{N-k} in the same order a second,
-    and _proxy_weights takes one BLAS product of each against lam and folds
-    only the PK weights. The mirror images are copied into a buffer of one
-    block, so that both products sum the same terms in the same order and
-    mirrored (antisymmetric) samples keep the odd (even) entries of b exactly
-    zero, as the parity of the fit needs; a product of the right side as it
-    lies, against the row-reversed lam, left them at about 1e-18 sum|y|.
-    The cost is about NK multiply-adds there, a copy of N/2 samples, and
-    PKM for the recurrence over the PK proxies of P panels. The
-    proxies sit at the grid's positions 2k/N - 1, each formed as
+    whole panel, one whose points all have 2k < N: a block of P such panels
+    is one (P x w) view of y, its mirror images y_{N-k} in the same order a
+    second, and _proxy_weights takes one BLAS product of each against lam
+    and folds only the PK weights. The mirror images are copied into a
+    buffer of one block, so that both products sum the same terms in the
+    same order and mirrored (antisymmetric) samples keep the odd (even)
+    entries of b exactly zero, as the parity of the fit needs; a product of
+    the right side as it lies, against the row-reversed lam, left them at
+    about 1e-18 sum|y|. The cost is about NK multiply-adds there, a copy of
+    N/2 samples, and PKM for the recurrence over the PK proxies of P panels.
+    The proxies sit at the grid's positions 2k/N - 1, each formed as
     ((2pw + w - 1) + w tau_k)/N - 1 (w tau_k is exact) rather than as the
     sum of the rounded c_p and (w/N) tau_k.
 
-    Two panels keep an explicit w-point s and d (_fold). The last panel,
-    which holds the middle point of an even N or the zero padding past it,
-    goes through the same product as a (2 x w) block and, because of the
-    fold, stays inside [-1, 1]. The first panel, at x = -1, is not
-    compressed: its w points enter the recurrence themselves, as extra
-    points ahead of the last proxy batch in the same _parity_sums call, so
-    the recurrence runs once over both rather than a second time for w
-    points. There T_M' reaches M^2, so the half ulp by which a grid point
-    differs from 2k/N - 1, where a panel's polynomial is exact, and the
-    rounding of a proxy cost up to M^2 times their size; compressed, that
+    Every other folded point is its own proxy: the first panel, at x = -1,
+    and the fewer than w points past the last whole panel, an even N's
+    middle point among them, folded once (_fold) and summed with the last
+    proxy batch in one _parity_sums call. At x = -1 T_M' reaches M^2, which
+    magnifies the rounding of a grid point or a proxy: compressed, the first
     panel put b 1.04e-14 sum|y| from the long-double recurrence for y = +-1
     only at |x| > 0.99 (M = 127, N = 83606), against 4.0e-15 uncompressed.
-    When it is also the last panel (half = w), it is summed once, as the
-    first, with no proxies beside it.
 
-    Compression runs when half >= w and w >= 4K, so that it pays, and when
-    M <= sqrt(N)/2, so that each panel is short on the scale of T_M's
-    oscillation. Past that boundary a panel's local polynomial uses its full
-    degree near t = +-1, where T_l(t) is most sensitive to rounding, and the
-    panels lost up to 100 times more digits than the plain recurrence
-    (M = 127, N = 1023). Otherwise every point is its own proxy and the same
-    recurrence runs over blocks of _CHUNK folded points.
+    Compression runs when at least two panels are whole and w >= 4K, so
+    that it pays, and when M <= sqrt(N)/2, so that each panel is short on
+    the scale of T_M's oscillation. Past that boundary a panel's local
+    polynomial uses its full degree near t = +-1, where T_l(t) is most
+    sensitive to rounding, and the panels lost up to 100 times more digits
+    than the plain recurrence (M = 127, N = 1023). Otherwise every point is
+    its own proxy and the same recurrence runs over blocks of _CHUNK points.
 
-    Each product holds at most _PRODUCT_POINTS / w panels, whatever _CHUNK
-    is, and the proxies are summed in batches of about _CHUNK, so the extra
-    space is O(_CHUNK + _PRODUCT_POINTS + Kw), under 2 MB, besides the panel operators, cached
-    per (K, w). The products are the one use of BLAS, whose bits can depend
-    on the thread count: on OpenBLAS 0.3.31, a (P x w) @ (w x K) product gave
-    other bits under two threads than under one once P >= 33, at K = 36
-    (w = 1024) and at K = 101 and 126 (w = 512). Their shapes are fixed by
-    w and _PRODUCT_POINTS, and the tests pin the bits of all 2,816 under
-    each thread count they run. Every other product and reduction is numpy's
-    own single-threaded einsum (or np.sum) in a fixed order. So the bits do
-    not depend on the number of BLAS threads.
+    Each product holds at most _PRODUCT_POINTS / w panels, whatever _CHUNK is,
+    and the proxies are summed in batches of about _CHUNK, so the extra space
+    is O(_CHUNK + _PRODUCT_POINTS + Kw), under 2 MB, besides the panel
+    operators, cached per (K, w). The products are the one use of BLAS, whose
+    bits can depend on the thread count: on OpenBLAS 0.3.31, a
+    (P x w) @ (w x K) product gave other bits under two threads than under
+    one once P >= 33, at K = 36 (w = 1024) and at K = 101 and 126 (w = 512).
+    Their shapes are fixed by w and _PRODUCT_POINTS, and the tests pin the
+    bits of all 2,816 under each thread count they run. Every other product
+    and reduction is numpy's own single-threaded einsum (or np.sum) in a
+    fixed order, so the bits do not depend on the number of BLAS threads.
 
     Raises ValueError if the sample count differs from the grid's or if M < 0.
     """
@@ -292,7 +282,8 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     half = n // 2 + 1
     k = m_degree + 1
     w = _panel_width(k)
-    if half < w or w < 4 * k or n < 4 * m_degree * m_degree:
+    whole = (n + 1) // 2 // w  # panels whose points all have 2k < N
+    if whole < 2 or w < 4 * k or n < 4 * m_degree * m_degree:
         # every point is its own proxy
         size = max(1, min(_CHUNK, half))
         s, d = np.empty((2, size))
@@ -304,37 +295,30 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
         return b
 
     lam, tau = _panel_operators(k, w)
-    head = np.empty((2, w))  # s and d of the first panel, at x = -1
-    _fold(y, 0, *head)
-    edge = np.empty((2, w))  # s and d of the last panel
-    b = np.zeros(k)
-    total = -(-half // w)  # panels, the last one zero-padded
-    whole = (n + 1) // 2 // w  # panels whose points all have 2k < N
+    tail = whole * w
+    # s and d of the points that are their own proxies: the first panel, at
+    # x = -1, and those past the last whole panel
+    own = np.empty((2, w + half - tail))
+    _fold(y, 0, *own[:, :w])
+    _fold(y, tail, *own[:, w:])
     rows = _PRODUCT_POINTS // w  # panels per product
-    batch = max(1, min(_CHUNK // k, total - 1))  # panels per proxy sum
+    batch = max(1, min(_CHUNK // k, whole - 1))  # panels per proxy sum
     mirror = np.empty((rows, w))
     scratch = np.empty((2, rows, k))
     nu = np.empty((2, batch, k))
-    panel = first = 1
-    filled = 0  # nu[:, :filled] holds panels first, first+1, ...
-    while panel < total:
-        if filled == batch:
-            b += _parity_sums(*_proxies(nu, first, w, n, tau), m_degree)
-            first, filled = first + filled, 0
-        lo = panel * w
-        if panel < whole:
-            p = min(rows, whole - panel, batch - filled)
-            _proxy_weights(y[lo:lo + p * w].reshape(p, w),
-                           y[::-1][lo:lo + p * w].reshape(p, w), lam,
-                           mirror[:p], scratch[:, :p], nu[:, filled:filled + p])
-        else:  # the last panel: the middle point or the zero padding
-            p = 1
-            _fold(y, lo, *edge)
-            nu[:, filled] = edge @ lam
-        filled += p
-        panel += p
-    # The first panel's points join the last batch's proxies.
-    points, even_w, odd_w = _proxies(nu[:, :filled], first, w, n, tau)
-    return b + _parity_sums(np.concatenate((x[:w], points)),
-                            np.concatenate((head[0], even_w)),
-                            np.concatenate((head[1], odd_w)), m_degree)
+    b = np.zeros(k)
+    for first in range(1, whole, batch):
+        stop = min(first + batch, whole)
+        for p in range(first, stop, rows):
+            q = min(p + rows, stop)
+            _proxy_weights(y[p * w:q * w].reshape(-1, w),
+                           y[::-1][p * w:q * w].reshape(-1, w), lam, mirror[:q - p],
+                           scratch[:, :q - p], nu[:, p - first:q - first])
+        proxies = _proxies(nu[:, :stop - first], first, w, n, tau)
+        if stop < whole:
+            b += _parity_sums(*proxies, m_degree)
+    # They join the last batch's proxies in one recurrence.
+    points, even_w, odd_w = proxies
+    return b + _parity_sums(np.concatenate((x[:w], x[tail:half], points)),
+                            np.concatenate((own[0], even_w)),
+                            np.concatenate((own[1], odd_w)), m_degree)

@@ -347,6 +347,21 @@ class TestTwoProcessIngest:
         assert n_forks == 1
         assert two == one == f"{path}:{k + 1 + len(head)}: {message}"
 
+    @pytest.mark.parametrize("where", ["header", "first half", "past the cut"])
+    def test_invalid_utf8_cites_its_line(self, tmp_path, monkeypatch, forks, where):
+        # numpy's decode error names an offset in its own buffer, not the line.
+        data = _data_lines(2000)
+        cut = _first_line_past_cut(data) + 1  # index of that line in the file
+        k = {"header": 0, "first half": cut - 10, "past the cut": cut + 10}[where]
+        lines = [line.encode() for line in ["x,y\n"] + data]
+        lines[k] = lines[k][:3] + b"\xff" + lines[k][3:]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"".join(lines))
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == (where != "header")
+        assert two == one == (f"{path}:{k + 1}: 'utf-8' codec can't decode byte 0xff "
+                              "in position 3: invalid start byte")
+
     def test_column_count_of_every_row_changed_at_cut(self, tmp_path, monkeypatch, forks):
         # Three columns from the first row of the second half on: reported there.
         lines = _data_lines(400)

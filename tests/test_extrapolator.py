@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,23 @@ class TestRAlpha:
         for bad in (0.99, edge, edge + 0.5):
             with pytest.raises(ValueError, match="interval"):
                 r_alpha(bad, RHO_SILVER)
+
+    def test_matches_mpmath(self):
+        """r within 4 ulps of a 200-bit mpmath value over x from 1 + 2^-52 to
+        1e300 (rho = 3, or 4x past x = 1.5), and at x = 1e307, rho = 1e308,
+        where x^2 - 1 overflows; alpha within 4 ulps near x = 1, where
+        x^2 - 1 cancels. The largest errors were 2 and 3 ulps."""
+        xs = np.concatenate((1.0 + np.geomspace(2.0 ** -52, 1e-3, 300),
+                             np.geomspace(1.001, 1e300, 300)))
+        cases = [(x, 3.0 if x < 1.5 else 4.0 * x) for x in map(float, xs)]
+        with mpmath.workprec(200):
+            for x, rho in cases + [(1e307, 1e308)]:
+                r, alpha = r_alpha(x, rho)
+                exact = (x + mpmath.sqrt(mpmath.mpf(x) ** 2 - 1)) / rho
+                assert abs(r - float(exact)) <= 4 * math.ulp(r), (x, rho, r)
+                if x < 1.001:
+                    exact_alpha = float(-mpmath.log(exact) / mpmath.log(rho))
+                    assert abs(alpha - exact_alpha) <= 4 * math.ulp(alpha), (x, alpha)
 
     def test_r_strictly_increasing(self):
         xs = np.linspace(1.0, 1.4, 50)

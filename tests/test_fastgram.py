@@ -245,13 +245,15 @@ class TestRhs:
         assert b[0] == pytest.approx(0.0, abs=1e-15)
         assert b[1] == pytest.approx(float(np.sum(grid.points ** 2)), rel=1e-15)
 
-    @pytest.mark.parametrize("n, m_deg", [(4098, 32), (40_001, 27), (62_500, 125),
-                                          (1_000_000, 35)])
+    @pytest.mark.parametrize("n, m_deg", [(4098, 32), (12_287, 27), (12_288, 27),
+                                          (40_001, 27), (62_500, 125), (1_000_000, 35)])
     def test_parity_of_mirrored_samples_exact(self, n, m_deg):
         """Mirrored samples (y_k = y_{N-k}) give odd entries of b that are
         exactly zero, and antisymmetric ones (y_k = -y_{N-k}) even entries,
         on the panel path too, with several products per proxy batch at the
-        larger sizes: the fit's parity rests on it."""
+        larger sizes, no points past the last whole panel (N = 12287) and
+        only the middle point there (N = 12288): the fit's parity rests on
+        it."""
         w = fastgram._panel_width(m_deg + 1)
         assert n // 2 + 1 >= 2 * w >= 8 * (m_deg + 1) and n >= 4 * m_deg ** 2
         grid = make_grid(GridKind.EQUISPACED, n)
@@ -385,8 +387,7 @@ class TestRhs:
         and lam itself, have the same bits under
         OPENBLAS_NUM_THREADS 1, 2 and 4 at every shape rhs can issue: each
         K = M+1 that compresses (w >= 4K, w from _panel_width) and each
-        block of P = 1 .. _PRODUCT_POINTS // w panels. The last panel's
-        (2 x w) @ (w x K) product is the P = 2 shape against lam."""
+        block of P = 1 .. _PRODUCT_POINTS // w panels."""
         script = (
             "import hashlib, numpy as np\n"
             "from stable_extrap import fastgram\n"
@@ -510,10 +511,10 @@ class TestRhs:
         multiples of the panel width: half = jw - 1, jw and jw + 1 for
         j = 1, 2, 3 and for the first two j at which the panels run
         (N >= 4M^2), each at an odd and an even N, for Gaussian y and for
-        y = +-1 only at |x| > 0.99. These pin the first panel that is also
-        the last (half = w, N even), an exact multiple that leaves no padded
-        panel (half = jw, N odd) and a last panel that holds only the middle
-        point (half = jw + 1, N even)."""
+        y = +-1 only at |x| > 0.99. These pin the plain recurrence at fewer
+        than two whole panels (j = 1), an exact multiple that leaves no
+        points past the last whole panel (half = jw, N odd) and one that
+        leaves only the middle point there (half = jw + 1, N even)."""
         w = fastgram._panel_width(m_deg + 1)
         first_j = -(-(2 * m_deg ** 2 + 2) // w)  # jw - 1 >= 2M^2 + 1
         for j in sorted({1, 2, 3, first_j, first_j + 1}):
