@@ -15,7 +15,9 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
+import tempfile
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -68,35 +70,20 @@ def read_samples_csv(path: str) -> SampleSet:
     grid, rejecting x columns that miss x_k = 2k/N - 1 by more than 1e-12.
     The first non-blank line is a header if its first cell is not a number;
     empty lines are skipped and cells may be quoted with '"'. Errors cite
-    the file's 1-based line. A regular file with more than _SPLIT_BYTES of
-    data is parsed in two processes where os.fork exists and this process
-    may run on two CPUs (_parse_halves)."""
-    skip = 0  # lines before the first line given to loadtxt
+    the 1-based line of `path`. A pipe or FIFO is first copied to a
+    temporary file, so every input is parsed from a file. More than
+    _SPLIT_BYTES of data is parsed in two processes where os.fork exists
+    and this process may run on two CPUs (_parse_halves)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            while not (line := fh.readline()).strip():
-                if not line:
-                    raise CliError(f"{path}: no data rows")
-                skip += 1
-            try:
-                float(line.split(",", 1)[0].strip().strip('"'))
-                fh.seek(0)  # no header: loadtxt reads the file from its start
-                skip = 0
-            except ValueError:
-                skip += 1  # the header
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
-                if os.path.isfile(path):
-                    data = _parse_file(path, skip)
-                else:  # a pipe cannot be opened again: read on from fh
-                    data = _loadtxt(fh)
+        if os.path.isfile(path):
+            data = _read_rows(path, path)
+        else:
+            with open(path, "rb") as fh, tempfile.NamedTemporaryFile() as spool:
+                shutil.copyfileobj(fh, spool)
+                spool.flush()
+                data = _read_rows(path, spool.name)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise _loadtxt_error(path, skip, str(exc)) from exc
-    if len(data) and data.shape[1] != 2:
-        raise _row_error(path, skip, 0, f"expected two columns x,y, got {data.shape[1]}")
     if len(data) < 2:
         raise CliError(f"{path}: need at least two samples")
     x, n = data[:, 0], len(data) - 1
@@ -114,6 +101,31 @@ def read_samples_csv(path: str) -> SampleSet:
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _read_rows(path: str, source: str) -> np.ndarray:
+    """The rows that loadtxt reads from the file `source`, `path` or a copy
+    of it, after the header; errors cite lines of `path`."""
+    skip = 0  # lines before the first line given to loadtxt
+    try:
+        with open(source, encoding="utf-8") as fh:
+            while not (line := fh.readline()).strip():
+                if not line:
+                    raise CliError(f"{path}: no data rows")
+                skip += 1
+        try:
+            float(line.split(",", 1)[0].strip().strip('"'))
+        except ValueError:
+            skip += 1  # the header
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+            data = _parse_file(path, source, skip)
+    except ValueError as exc:
+        raise _loadtxt_error(path, source, skip, str(exc)) from exc
+    if len(data) and data.shape[1] != 2:
+        raise _row_error(path, source, skip, 0, f"expected two columns x,y, got {data.shape[1]}")
+    return data
+
+
 # Data bytes after the header above which a file is parsed in two processes.
 # The fork, the line count and the join cost about 3 ms; on a 2-vCPU Xeon,
 # two processes broke even with one at about 512 KiB (faster in 13 of 25
@@ -123,24 +135,24 @@ _SPLIT_BYTES = 1 << 20
 _COUNT_CHUNK = 1 << 20  # bytes read at a time when counting lines
 
 
-def _loadtxt(source, **kwargs) -> np.ndarray:
-    """np.loadtxt with the CSV options. Given a path, numpy reads the file in
-    blocks; given a file object, it iterates over its lines, more slowly."""
+def _loadtxt(source: str, **kwargs) -> np.ndarray:
+    """np.loadtxt of the file `source` with the CSV options; given a path,
+    numpy reads the file in blocks."""
     return np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=2,
                       encoding="utf-8", **kwargs)
 
 
-def _parse_file(path: str, skip: int) -> np.ndarray:
-    """loadtxt of the regular file `path` after its first `skip` lines; in
-    two processes, cut at the first newline past the middle of the data,
-    where the data is large, os.fork exists, this process may run on two
-    CPUs and the lines before the cut are loadtxt's rows (_count_lines)."""
-    with open(path, "rb") as raw:
+def _parse_file(path: str, source: str, skip: int) -> np.ndarray:
+    """loadtxt of the file `source` after its first `skip` lines; in two
+    processes, cut at the first newline past the middle of the data, where
+    the data is large, os.fork exists, this process may run on two CPUs and
+    the lines before the cut are loadtxt's rows (_count_lines)."""
+    with open(source, "rb") as raw:
         for _ in range(skip):
             raw.readline()
         start, size = raw.tell(), os.fstat(raw.fileno()).st_size
         if size - start <= _SPLIT_BYTES or not hasattr(os, "fork") or _cpus() < 2:
-            return _loadtxt(path, skiprows=skip)
+            return _loadtxt(source, skiprows=skip)
         raw.seek(start + (size - start) // 2)
         raw.readline()
         cut = raw.tell()
@@ -148,9 +160,9 @@ def _parse_file(path: str, skip: int) -> np.ndarray:
         header_lines = _count_lines(raw, start)  # None if not the `skip` lines loadtxt skips
         counts = _count_lines(raw, cut) if header_lines and cut < size else None
     if counts is None:
-        return _loadtxt(path, skiprows=skip)
+        return _loadtxt(source, skiprows=skip)
     lines, rows = counts
-    return _parse_halves(path, skip, skip + lines, rows, size - cut)
+    return _parse_halves(path, source, skip, skip + lines, rows)
 
 
 def _cpus() -> int:
@@ -192,88 +204,74 @@ def _count_lines(raw, stop: int) -> tuple[int, int] | None:
     return int(lines), int(rows)
 
 
-def _parse_halves(path: str, skip: int, lines: int, rows: int, tail_bytes: int) -> np.ndarray:
-    """loadtxt of `path` after its first `skip` lines, in two processes. The
-    first `lines` lines hold the first `rows` data rows; a forked child parses
-    the lines after them into a shared mmap and replies through a pipe with
-    the shape or its ValueError. The parent parses the rows before the cut
-    and one more, so that numpy checks and converts the first row past the
-    cut as one parse of the file would; an error there, or before, is the
-    parent's and is raised first. The child's rows are offset by `rows` in
-    its errors. The child calls no BLAS and leaves by os._exit."""
-    import mmap
+def _parse_halves(path: str, source: str, skip: int, lines: int, rows: int) -> np.ndarray:
+    """loadtxt of `source` after its first `skip` lines, in two processes.
+    The first `lines` lines hold the first `rows` data rows; a forked child
+    parses the lines after them into a temporary file opened before the
+    fork: its rows as bare float64s and exit status 0, or its ValueError's
+    message and status 2. The parent parses the rows before the cut and one
+    more, so that numpy checks and converts the first row past the cut (and
+    its column count, the child's) as one parse of the file would; an error
+    there, or before, is the parent's and is raised first. The child's rows
+    are offset by `rows` in its errors. The child calls no BLAS and leaves
+    by os._exit."""
     import signal
 
-    buf, fds = None, ()
     try:
-        # At most one row of 8-byte cells per 2 bytes of text ("1,2\n" is two
-        # cells), so 4 bytes per byte of the tail always hold its rows.
-        buf = mmap.mmap(-1, 4 * tail_bytes + 16)
-        fds = read_fd, write_fd = os.pipe()
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns when a process with threads (OpenBLAS's)
-            # forks; the child runs no code that needs them.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:  # no memory, descriptor or process to spare: one process parses
-        for fd in fds:
-            os.close(fd)
-        if buf is not None:
-            buf.close()
-        return _loadtxt(path, skiprows=skip)
-    with buf:
+        out = tempfile.TemporaryFile()
+    except OSError:  # no file to spare: one process parses
+        return _loadtxt(source, skiprows=skip)
+    with out:
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns when a process with threads (OpenBLAS's)
+                # forks; the child runs no code that needs them.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:  # no memory or process to spare: one process parses
+            return _loadtxt(source, skiprows=skip)
         if pid == 0:
             code = 1
             try:
-                os.close(read_fd)
                 try:
-                    tail = _loadtxt(path, skiprows=lines)
-                    np.frombuffer(buf, float, tail.size)[:] = tail.ravel()
-                    reply = f"{tail.shape[0]} {tail.shape[1]}"
+                    reply, status = _loadtxt(source, skiprows=lines).data, 0
                 except ValueError as exc:
-                    reply = f"!{exc}"
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(reply.encode("utf-8"))
-                code = 0
+                    reply, status = str(exc).encode("utf-8"), 2
+                out.write(reply)
+                out.flush()
+                code = status
             finally:
                 os._exit(code)
-        os.close(write_fd)
         try:
-            with open(read_fd, "rb") as pipe:
-                try:
-                    head = _loadtxt(path, skiprows=skip, max_rows=rows + 1)
-                except BaseException:
-                    os.kill(pid, signal.SIGKILL)
-                    raise
-                reply = pipe.read().decode("utf-8")
+            head = _loadtxt(source, skiprows=skip, max_rows=rows + 1)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            status = os.waitpid(pid, 0)[1]
-        if not reply:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        out.seek(0)
+        if code == 2:
+            raise _loadtxt_error(path, source, skip, out.read().decode("utf-8"), rows)
+        if code != 0:
             raise CliError(f"{path}: the process parsing the second half of the file "
-                           f"ended without a result (exit status "
-                           f"{os.waitstatus_to_exitcode(status)})")
-        if reply.startswith("!"):
-            raise _loadtxt_error(path, skip, reply[1:], rows)
-        r, c = map(int, reply.split())
-        if r == 0:  # only blank lines past the cut: head holds every row
-            return head
-        return np.concatenate((head[:rows], np.frombuffer(buf, float, r * c).reshape(r, c)))
+                           f"ended without a result (exit status {code})")
+        return np.concatenate((head[:rows], np.fromfile(out, float).reshape(-1, head.shape[1])))
 
 
-def _loadtxt_error(path: str, skip: int, msg: str, rows_before: int = 0) -> CliError:
-    """Restate a loadtxt error at the file line of the bad row. numpy counts
-    rows over non-empty lines, from 0 in conversion errors and from 1 in
-    column-count errors; `rows_before` data rows preceded the parsed part.
-    A decode error cites the file's first line that is not UTF-8."""
+def _loadtxt_error(path: str, source: str, skip: int, msg: str, rows_before: int = 0) -> CliError:
+    """Restate a loadtxt error on `source` at the line of the bad row. numpy
+    counts rows over non-empty lines, from 0 in conversion errors and from 1
+    in column-count errors; `rows_before` data rows preceded the parsed part.
+    A decode error cites the first line that is not UTF-8."""
     if m := re.search(r"changed from (\d+) to (\d+) at row (\d+)", msg):
         first, got, row = map(int, m.groups())
         row, got = (0, first) if first != 2 else (rows_before + row - 1, got)
-        return _row_error(path, skip, row, f"expected two columns x,y, got {got}")
+        return _row_error(path, source, skip, row, f"expected two columns x,y, got {got}")
     if m := re.search(r"could not convert (string .*) to float64 at row (\d+), column (\d+)", msg):
-        return _row_error(path, skip, rows_before + int(m[2]),
+        return _row_error(path, source, skip, rows_before + int(m[2]),
                           f"column {m[3]}: could not convert {m[1]} to float")
-    if msg.startswith("'utf-8' codec can't decode") and os.path.isfile(path):
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    if msg.startswith("'utf-8' codec can't decode"):
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
             for number, line in enumerate(fh, start=1):
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
@@ -282,10 +280,10 @@ def _loadtxt_error(path: str, skip: int, msg: str, rows_before: int = 0) -> CliE
     return CliError(f"{path}: {msg}")
 
 
-def _row_error(path: str, skip: int, row: int, text: str) -> CliError:
-    """`text` cited at data row `row` (0-based over the non-empty lines after
-    the first `skip`), as path:line with the file's 1-based line number."""
-    with open(path, encoding="utf-8") as fh:
+def _row_error(path: str, source: str, skip: int, row: int, text: str) -> CliError:
+    """`text` cited at data row `row` (0-based over the non-empty lines of
+    `source` after the first `skip`), as path:line with the 1-based line."""
+    with open(source, encoding="utf-8") as fh:
         lines = (i for i, line in enumerate(fh, start=1) if i > skip and line != "\n")
         return CliError(f"{path}:{next(itertools.islice(lines, row, None))}: {text}")
 

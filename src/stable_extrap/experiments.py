@@ -3,8 +3,10 @@ plateaus, and Gram-assembly timings.
 
 Randomness goes through numpy's PCG64 generator with an explicit seed (the
 noise plateau's argument, 0 for the timing samples), so every table but the
-timings is pinned bit-for-bit. Timing runs are single-threaded by
-construction (all hot loops are sequential numpy reductions).
+timings is pinned bit-for-bit. Timing runs are not single-threaded:
+`rhs`'s panel products are BLAS `np.matmul` calls, which may run on as
+many threads as the BLAS library allows (OPENBLAS_NUM_THREADS for
+OpenBLAS); the naive Gram is sequential numpy reductions.
 """
 
 from __future__ import annotations

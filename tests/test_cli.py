@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -306,6 +310,15 @@ class TestTwoProcessIngest:
         monkeypatch.setattr(os, "fork", counting_fork)
         return calls
 
+    @pytest.fixture
+    def spool_dir(self, tmp_path, monkeypatch):
+        """A fresh directory as tempfile's, for tests that assert the split
+        leaves nothing in it."""
+        path = tmp_path / "tempdir"
+        path.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(path))
+        return path
+
     def read_both(self, monkeypatch, forks, path):
         """The result of two processes, then one, and the forks of the first;
         a result is the values' bytes or the CliError message."""
@@ -334,7 +347,7 @@ class TestTwoProcessIngest:
     @pytest.mark.parametrize("header", [True, False])
     @pytest.mark.parametrize("kind", BAD_ROWS)
     @pytest.mark.parametrize("where", [-1, 0, 1])
-    def test_bad_row_next_to_cut_cites_its_line(self, tmp_path, monkeypatch, forks,
+    def test_bad_row_next_to_cut_cites_its_line(self, tmp_path, monkeypatch, forks, spool_dir,
                                                 header, kind, where):
         bad, message = self.BAD_ROWS[kind]
         lines = _data_lines(400)
@@ -346,6 +359,7 @@ class TestTwoProcessIngest:
         two, one, n_forks = self.read_both(monkeypatch, forks, path)
         assert n_forks == 1
         assert two == one == f"{path}:{k + 1 + len(head)}: {message}"
+        assert not any(spool_dir.iterdir())  # where == 1: the child's ValueError
 
     @pytest.mark.parametrize("where", ["header", "first half", "past the cut"])
     def test_invalid_utf8_cites_its_line(self, tmp_path, monkeypatch, forks, where):
@@ -386,7 +400,7 @@ class TestTwoProcessIngest:
         two, one, _ = self.read_both(monkeypatch, forks, path)
         assert two == one == f"{path}:{k + 1}: column 2: could not convert string 'abc' to float"
 
-    def test_first_half_error_takes_precedence(self, tmp_path, monkeypatch, forks):
+    def test_first_half_error_takes_precedence(self, tmp_path, monkeypatch, forks, spool_dir):
         lines = _data_lines(400)
         k = _first_line_past_cut(lines)
         lines[k - 10] = "0.0,abc\n"
@@ -397,6 +411,7 @@ class TestTwoProcessIngest:
         assert two == one == f"{path}:{k - 8}: column 2: could not convert string 'abc' to float"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert not any(spool_dir.iterdir())
 
     @pytest.mark.parametrize("at", [-2, -1, 0, 1, 2])
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
@@ -462,7 +477,7 @@ class TestTwoProcessIngest:
         two = read_samples_csv(str(path)).values
         assert len(forks) == 1 and two.tobytes() == one.tobytes()
 
-    def test_forks_once_for_a_large_file_only(self, tmp_path, forks):
+    def test_forks_once_for_a_large_file_only(self, tmp_path, forks, spool_dir):
         small, large = tmp_path / "small.csv", tmp_path / "large.csv"
         write_samples(small, 400, np.cos)
         _, ys = write_samples(large, 60_000, np.cos)
@@ -471,6 +486,7 @@ class TestTwoProcessIngest:
         assert len(forks) == 0
         assert read_samples_csv(str(large)).values.tobytes() == ys.tobytes()
         assert len(forks) == 1
+        assert not any(spool_dir.iterdir())
 
     def test_same_bits_without_fork(self, tmp_path, monkeypatch, forks):
         path = tmp_path / "s.csv"
@@ -489,18 +505,17 @@ class TestTwoProcessIngest:
     def test_cpus_of_this_process(self):
         assert 1 <= stable_extrap.cli._cpus() <= (os.cpu_count() or 1)
 
-    @pytest.mark.parametrize("short_of", ["mmap", "pipe", "fork"])
+    @pytest.mark.parametrize("short_of", ["tempfile", "fork"])
     def test_no_resources_for_a_second_process(self, tmp_path, monkeypatch, forks,
                                                short_of):
-        """Where the shared rows, the pipe or the child cannot be had, one
+        """Where the child's temporary file or the child cannot be had, one
         process parses, and no descriptor is left open."""
         import errno
-        import mmap
 
         def refuse(*args, **kwargs):
             raise OSError(errno.ENOMEM, "refused")
 
-        target = {"mmap": (mmap, "mmap"), "pipe": (os, "pipe"), "fork": (os, "fork")}
+        target = {"tempfile": (tempfile, "TemporaryFile"), "fork": (os, "fork")}
         monkeypatch.setattr(*target[short_of], refuse)
         path = tmp_path / "s.csv"
         _, ys = write_samples(path, 60_000, np.sin)
@@ -514,7 +529,7 @@ class TestTwoProcessIngest:
         with pytest.raises(CliError, match=r"s\.csv:60002: column 2"):
             read_samples_csv(str(path))
 
-    def test_first_half_error_stops_the_child(self, tmp_path, monkeypatch):
+    def test_first_half_error_stops_the_child(self, tmp_path, monkeypatch, spool_dir):
         # The child parses without max_rows; here it would sleep for a minute.
         loadtxt = stable_extrap.cli._loadtxt
 
@@ -533,6 +548,7 @@ class TestTwoProcessIngest:
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert not any(spool_dir.iterdir())
 
     def test_fork_warning_is_silenced(self, tmp_path, monkeypatch):
         # From Python 3.12, os.fork in a process with threads (OpenBLAS's)
@@ -551,7 +567,7 @@ class TestTwoProcessIngest:
             warnings.simplefilter("error")
             assert read_samples_csv(str(path)).values.tobytes() == ys.tobytes()
 
-    def test_child_killed_by_a_signal(self, tmp_path, monkeypatch):
+    def test_child_killed_by_a_signal(self, tmp_path, monkeypatch, spool_dir):
         # The child parses without max_rows; here it kills itself instead.
         loadtxt = stable_extrap.cli._loadtxt
 
@@ -568,25 +584,225 @@ class TestTwoProcessIngest:
             read_samples_csv(str(path))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert not any(spool_dir.iterdir())
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
-def test_piped_input(tmp_path):
-    """A pipe cannot be opened a second time, so it is read on from the
-    handle that found the header."""
-    path = tmp_path / "s.csv"
-    write_samples(path, 60_000, np.cos)
-    args = ["extrapolate", "--rho", "2", "--eps", "1e-10", "--Q", "1.5", "--at", "1.0,1.1"]
+def _run_cli(args, timeout=120, **kwargs):
+    """`python -m stable_extrap.cli` with `args` in a fresh interpreter that
+    imports this checkout's package."""
     src = str(Path(stable_extrap.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = [sys.executable, "-m", "stable_extrap.cli", *args, "--input"]
-    piped = subprocess.run(run + ["/dev/stdin"], input=path.read_bytes(),
-                           capture_output=True, env=env, timeout=120)
-    direct = subprocess.run(run + [str(path)], capture_output=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "stable_extrap.cli", *args],
+                          capture_output=True, env=env, timeout=timeout, **kwargs)
+
+
+needs_dev_stdin = pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+
+
+@needs_dev_stdin
+def test_piped_input(tmp_path):
+    """Piped input is copied to a temporary file and parsed as that file:
+    above _SPLIT_BYTES in two processes, with the direct run's document."""
+    path = tmp_path / "s.csv"
+    write_samples(path, 60_000, np.cos)
+    assert path.stat().st_size > stable_extrap.cli._SPLIT_BYTES
+    args = ["extrapolate", "--rho", "2", "--eps", "1e-10", "--Q", "1.5", "--at", "1.0,1.1",
+            "--input"]
+    piped = _run_cli(args + ["/dev/stdin"], input=path.read_bytes())
+    direct = _run_cli(args + [str(path)])
     assert piped.returncode == direct.returncode == 0, piped.stderr.decode()
     assert piped.stderr == direct.stderr == b""
     assert piped.stdout == direct.stdout
+
+
+@needs_dev_stdin
+def test_piped_input_without_header(tmp_path):
+    # A pipe cannot seek back to its first line, which is data here.
+    text = b"-1,0\n-0.5,1\n0,2\n0.5,1\n1,0\n"
+    path = tmp_path / "s.csv"
+    path.write_bytes(text)
+    piped = _run_cli(["fit", "--M", "1", "--input", "/dev/stdin"], input=text)
+    direct = _run_cli(["fit", "--M", "1", "--input", str(path)])
+    assert piped.returncode == direct.returncode == 0, piped.stderr.decode()
+    assert piped.stderr == direct.stderr == b""
+    assert piped.stdout == direct.stdout
+
+
+@needs_dev_stdin
+@pytest.mark.parametrize("bad_row, message", [
+    (b"0,abc", "column 2: could not convert string 'abc' to float"),
+    (b"0,\xff", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+])
+def test_piped_input_error_cites_its_line(bad_row, message):
+    proc = _run_cli(["fit", "--M", "1", "--input", "/dev/stdin"],
+                    input=b"x,y\n-1,0\n" + bad_row + b"\n1,0\n")
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == f"stable-extrap: error: /dev/stdin:3: {message}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_fifo_error_cites_its_line_without_blocking(tmp_path):
+    # A FIFO opened again after its writer closed would wait for a new one.
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(b"x,y\n-1,0\n0,abc\n1,0\n")
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    proc = _run_cli(["fit", "--M", "1", "--input", str(fifo)], timeout=30)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (f"stable-extrap: error: {fifo}:3: column 2: "
+                                    "could not convert string 'abc' to float\n")
+
+
+# Bytes that the property below writes over one byte of a line: a letter,
+# a byte that is not UTF-8, a separator, a space and parts of numbers.
+_FLIP_BYTES = b"a\xff, 9-.e"
+_MUTATION = st.tuples(st.sampled_from(["flip", "nan", "inf", "drop", "double", "blank"]),
+                      st.integers(0, 1 << 16), st.sampled_from(list(_FLIP_BYTES)))
+
+
+def _mutated_csv(n, header, quoted, eol, mutations) -> bytes:
+    lines = [line.rstrip("\n").encode() for line in _data_lines(n, quoted=quoted)]
+    if header:
+        lines.insert(0, b'"x","y"' if quoted else b"x,y")
+    for kind, at, byte in mutations:
+        if not lines:
+            break
+        k = at % len(lines)
+        if kind == "flip":
+            line = bytearray(lines[k] or b" ")  # a blank line gets one byte
+            line[at // len(lines) % len(line)] = byte
+            lines[k] = bytes(line)
+        elif kind in ("nan", "inf"):
+            cells = lines[k].split(b",")
+            cells[at // len(lines) % len(cells)] = kind.encode()
+            lines[k] = b",".join(cells)
+        else:
+            lines[k:k + 1] = {"drop": [], "double": [lines[k]] * 2, "blank": [b"", lines[k]]}[kind]
+    return b"".join(line + eol for line in lines)
+
+
+def _is_row(line: str, last: bool) -> bool:
+    """Whether loadtxt reads `line`, without its line end, as two numbers.
+    A quote opens a quoted cell only as the cell's first character, and what
+    follows the closing quote joins the cell. A quote left open runs the
+    cell on to the next line, which holds no number, unless only line ends
+    follow (`last`)."""
+    cells, i = [], 0
+    while True:
+        quoted = ""
+        if line.startswith('"', i):
+            close = line.find('"', i + 1)
+            if close < 0:
+                if not last:
+                    return False
+                close = len(line)
+            quoted, i = line[i + 1:close], min(close + 1, len(line))
+        end = line.find(",", i)
+        end = len(line) if end < 0 else end
+        cells.append(quoted + line[i:end])
+        if end == len(line):
+            break
+        i = end + 1
+    try:
+        for cell in cells:
+            float(cell)
+    except ValueError:
+        return False
+    return len(cells) == 2
+
+
+def _first_bad_lines(data: bytes):
+    """The 1-based numbers of the first line that is not UTF-8 and of the
+    first data line before it that is not a row; None where there is none."""
+    lines = [line.removesuffix(b"\r") for line in data.split(b"\n")[:-1]]
+    text = []
+    for line in lines:
+        try:
+            text.append(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            break
+    not_utf8 = len(text) + 1 if len(text) < len(lines) else None
+    starts = [k for k, line in enumerate(text) if line.strip()]
+    if starts:
+        k = starts[0]
+        try:
+            float(text[k].split(",", 1)[0].strip().strip('"'))
+        except ValueError:
+            k += 1  # the header
+        last = max(starts)
+        for k in range(k, len(text)):
+            if text[k] and not _is_row(text[k], k == last and not_utf8 is None):
+                return not_utf8, k + 1
+    return not_utf8, None
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), header=st.booleans(), quoted=st.booleans(),
+       eol=st.sampled_from([b"\n", b"\r\n"]), mutations=st.lists(_MUTATION, max_size=3))
+def test_mutated_csv_exits_0_or_2_citing_its_line(tmp_path_factory, n, header, quoted, eol,
+                                                  mutations):
+    """`fit` on a mutated CSV, from its file and through a pipe, parsed in
+    one process and in two: the same exit code (0 or 2) and output, and no
+    exception out of main (a traceback from the CLI). An error is one line;
+    it names the first line that is not UTF-8, or the first line before that
+    which is not a row, where there is one. No child process or temporary
+    file is left."""
+    data = _mutated_csv(n, header, quoted, eol, mutations)
+    path = tmp_path_factory.mktemp("mutated") / "s.csv"
+    path.write_bytes(data)
+    spool_dir = path.parent / "tempdir"
+    spool_dir.mkdir()
+    results = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tempfile, "tempdir", str(spool_dir))
+        mp.setattr(stable_extrap.cli, "_cpus", lambda: 2)
+        for threshold in (0, 1 << 62):
+            mp.setattr(stable_extrap.cli, "_SPLIT_BYTES", threshold)
+            code, out, err = _main_output(["fit", "--M", "0", "--input", str(path)])
+            results.add((code, out, err.replace(str(path), "PATH")))
+            read_fd, write_fd = os.pipe()
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)  # less than a pipe's buffer
+            try:
+                source = f"/dev/fd/{read_fd}"
+                code, out, err = _main_output(["fit", "--M", "0", "--input", source])
+            finally:
+                os.close(read_fd)
+            results.add((code, out, err.replace(source, "PATH")))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not any(spool_dir.iterdir())
+    assert len(results) == 1, results
+    code, out, err = results.pop()
+    not_utf8, not_row = _first_bad_lines(data)
+    assert code in (0, 2)
+    if code == 0:
+        assert err == "" and not_utf8 is None and not_row is None
+        return
+    assert out == "" and err.startswith("stable-extrap: error: PATH") and err.count("\n") == 1
+    cited = re.match(r"stable-extrap: error: PATH:(\d+): ", err)
+    if "'utf-8' codec can't decode" in err:
+        assert cited and int(cited[1]) == not_utf8, (err, data)
+    elif cited:
+        assert int(cited[1]) == not_row, (err, data)
+    else:
+        assert not_utf8 is None and not_row is None, (err, data)
 
 
 def test_two_process_ingest_in_a_fresh_interpreter(tmp_path, capsys, monkeypatch):
@@ -600,11 +816,7 @@ def test_two_process_ingest_in_a_fresh_interpreter(tmp_path, capsys, monkeypatch
     monkeypatch.delattr(os, "fork")
     assert main(args) == 0
     one_process = capsys.readouterr().out
-    src = str(Path(stable_extrap.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "stable_extrap.cli", *args],
-                          capture_output=True, env=env, timeout=120)
+    proc = _run_cli(args)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert proc.stdout == one_process.encode("utf-8")
@@ -812,13 +1024,8 @@ class TestExtrapolateCommand:
         # traceback or a numpy warning would show on stderr.
         csv_path = tmp_path / "f.csv"
         write_samples(csv_path, 400, np.cos)
-        src = str(Path(stable_extrap.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "stable_extrap.cli", "extrapolate", "--input",
-             str(csv_path), "--rho", rho, "--eps", "1e-300", "--Q", "1e300", "--at", at],
-            capture_output=True, env=env, timeout=120)
+        proc = _run_cli(["extrapolate", "--input", str(csv_path), "--rho", rho,
+                         "--eps", "1e-300", "--Q", "1e300", "--at", at])
         err = proc.stderr.decode()
         assert proc.returncode == 2, err
         assert proc.stdout == b""
@@ -1051,11 +1258,7 @@ def test_entry_point_matches_in_process_main(tmp_path, capsys):
             "--eps", "1e-12", "--Q", "1", "--at", "1.0,1.1,1.2"]
     assert main(args) == 0
     in_process = capsys.readouterr().out
-    src = str(Path(stable_extrap.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "stable_extrap.cli", *args],
-                          capture_output=True, env=env, timeout=120)
+    proc = _run_cli(args)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == in_process.encode("utf-8")
 
@@ -1074,11 +1277,7 @@ def test_large_finite_samples(tmp_path, samples, command):
     args = (["fit", "--M", "1"] if command == "fit" else
             ["extrapolate", "--rho", "2", "--eps", "1e-10", "--Q", "1.5",
              "--at", "1.0,1.1"])
-    src = str(Path(stable_extrap.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "stable_extrap.cli", *args,
-                           "--input", str(path)], capture_output=True, env=env, timeout=120)
+    proc = _run_cli([*args, "--input", str(path)])
     err = proc.stderr.decode()
     if proc.returncode == 0:
         assert err == ""
