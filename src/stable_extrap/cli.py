@@ -10,6 +10,7 @@ solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -69,11 +70,12 @@ def read_samples_csv(path: str) -> SampleSet:
     """Parse a two-column x,y CSV into a SampleSet on make_grid's equispaced
     grid, rejecting x columns that miss x_k = 2k/N - 1 by more than 1e-12.
     The first non-blank line is a header if its first cell is not a number;
-    empty lines are skipped and cells may be quoted with '"'. Errors cite
-    the 1-based line of `path`. A pipe or FIFO is first copied to a
-    temporary file, so every input is parsed from a file. More than
-    _SPLIT_BYTES of data is parsed in two processes where os.fork exists
-    and this process may run on two CPUs (_parse_halves)."""
+    empty lines are skipped, a UTF-8 byte order mark may open the file and
+    cells may be quoted with '"'. Errors cite the 1-based line of `path`.
+    A pipe or FIFO is first copied to a temporary file, so every input is
+    parsed from a file. More than _SPLIT_BYTES of data is parsed in two
+    processes where os.fork exists and this process may run on two CPUs
+    (_parse_file)."""
     try:
         if os.path.isfile(path):
             data = _read_rows(path, path)
@@ -106,7 +108,7 @@ def _read_rows(path: str, source: str) -> np.ndarray:
     of it, after the header; errors cite lines of `path`."""
     skip = 0  # lines before the first line given to loadtxt
     try:
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             while not (line := fh.readline()).strip():
                 if not line:
                     raise CliError(f"{path}: no data rows")
@@ -127,42 +129,42 @@ def _read_rows(path: str, source: str) -> np.ndarray:
 
 
 # Data bytes after the header above which a file is parsed in two processes.
-# The fork, the line count and the join cost about 3 ms; on a 2-vCPU Xeon,
-# two processes broke even with one at about 512 KiB (faster in 13 of 25
-# interleaved parses) and were faster in 24 of 25 at 1 MiB (20.5 ms, one
-# process 24.8 ms).
+# The fork, the two copies and the join cost about 3 ms: a 33 KiB file took
+# 3.7 ms in two processes and 0.5 ms in one. On a 2-vCPU host, in 60
+# interleaved parses at each size, two processes were faster than one in 29
+# at 1 MiB (14.1 ms, one process 13.5 ms), 43 at 2 MiB and 53 at 4 MiB
+# (34.2 ms, one process 44.6 ms). The threshold stays until a benchmark of
+# small files can place it.
 _SPLIT_BYTES = 1 << 20
-_COUNT_CHUNK = 1 << 20  # bytes read at a time when counting lines
 
 
 def _loadtxt(source: str, **kwargs) -> np.ndarray:
     """np.loadtxt of the file `source` with the CSV options; given a path,
     numpy reads the file in blocks."""
     return np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                      encoding="utf-8", **kwargs)
+                      encoding="utf-8-sig", **kwargs)
 
 
 def _parse_file(path: str, source: str, skip: int) -> np.ndarray:
     """loadtxt of the file `source` after its first `skip` lines; in two
-    processes, cut at the first newline past the middle of the data, where
-    the data is large, os.fork exists, this process may run on two CPUs and
-    the lines before the cut are loadtxt's rows (_count_lines)."""
+    processes (_parse_halves) where the data is large, os.fork exists and
+    this process may run on two CPUs. The processes share one row, the
+    first non-blank line after the middle of the data. One process parses
+    where there is no such line, or where a lone CR (a newline to loadtxt,
+    not to readline) is in the first `skip` lines or in that row."""
     with open(source, "rb") as raw:
-        for _ in range(skip):
-            raw.readline()
-        start, size = raw.tell(), os.fstat(raw.fileno()).st_size
+        skipped = b"".join(raw.readline() for _ in range(skip))
+        start, size = len(skipped), os.fstat(raw.fileno()).st_size
         if size - start <= _SPLIT_BYTES or not hasattr(os, "fork") or _cpus() < 2:
             return _loadtxt(source, skiprows=skip)
         raw.seek(start + (size - start) // 2)
         raw.readline()
-        cut = raw.tell()
-        raw.seek(0)
-        header_lines = _count_lines(raw, start)  # None if not the `skip` lines loadtxt skips
-        counts = _count_lines(raw, cut) if header_lines and cut < size else None
-    if counts is None:
+        while (row := raw.readline()) in (b"\n", b"\r\n"):
+            pass
+        end = raw.tell()
+    if not row or b"\r" in (skipped + row).replace(b"\r\n", b""):
         return _loadtxt(source, skiprows=skip)
-    lines, rows = counts
-    return _parse_halves(path, source, skip, skip + lines, rows)
+    return _parse_halves(path, source, skip, start, end - len(row), end)
 
 
 def _cpus() -> int:
@@ -172,90 +174,71 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _count_lines(raw, stop: int) -> tuple[int, int] | None:
-    """Lines and non-empty lines from raw's position, a line start, to byte
-    `stop`, which follows a newline. None where a line may not be one of
-    loadtxt's rows: a CR that ends a line alone (loadtxt reads it as a
-    newline), or a line with an odd number of quotes (a quoted cell that
-    runs on to the next line); and where a line is longer than a chunk."""
-    lines = rows = 0
-    pos = raw.tell()
-    while pos < stop:
-        chunk = raw.read(min(stop - pos, _COUNT_CHUNK))
-        end = chunk.rfind(b"\n") + 1  # whole lines only
-        if end == 0:
-            return None
-        pos = raw.seek(pos + end)
-        a = np.frombuffer(chunk, np.uint8, end)
-        newline = a == 10
-        # An empty line is a newline, or a CR and a newline, at a line start.
-        empty = np.count_nonzero(newline[1:] & newline[:-1]) + int(a[0] == 10)
-        if chunk.find(b"\r", 0, end) >= 0:
-            cr_lf = (a[:-1] == 13) & newline[1:]
-            if np.count_nonzero(cr_lf) != chunk.count(b"\r", 0, end):
-                return None
-            empty += np.count_nonzero(cr_lf[1:] & newline[:-2]) + int(cr_lf[0])
-        if chunk.find(b'"', 0, end) >= 0 and np.any(
-                np.searchsorted(np.flatnonzero(a == 34), np.flatnonzero(newline)) % 2):
-            return None
-        n = np.count_nonzero(newline)
-        lines += n
-        rows += n - empty
-    return int(lines), int(rows)
-
-
-def _parse_halves(path: str, source: str, skip: int, lines: int, rows: int) -> np.ndarray:
-    """loadtxt of `source` after its first `skip` lines, in two processes.
-    The first `lines` lines hold the first `rows` data rows; a forked child
-    parses the lines after them into a temporary file opened before the
-    fork: its rows as bare float64s and exit status 0, or its ValueError's
-    message and status 2. The parent parses the rows before the cut and one
-    more, so that numpy checks and converts the first row past the cut (and
-    its column count, the child's) as one parse of the file would; an error
-    there, or before, is the parent's and is raised first. The child's rows
-    are offset by `rows` in its errors. The child calls no BLAS and leaves
-    by os._exit."""
+def _parse_halves(path: str, source: str, skip: int, start: int, cut: int, end: int) -> np.ndarray:
+    """loadtxt of `source` after its first `skip` lines (bytes [0, start))
+    in two processes that share the row at bytes [cut, end). The parent
+    parses a temporary copy up to `end` and drops its last row, so numpy
+    checks that row against every earlier one as one parse would; its
+    errors are raised first. A forked child copies [cut, EOF) into a
+    temporary file made before the fork, parses it and overwrites it by
+    np.save with its rows (exit 0) or its ValueError's message (exit 2),
+    which cites rows after the parent's. The child calls no BLAS and leaves
+    by os._exit. One process parses where a newline before `end` follows an
+    odd number of quotes (it may lie in a quoted cell)."""
     import signal
 
-    try:
-        out = tempfile.TemporaryFile()
-    except OSError:  # no file to spare: one process parses
-        return _loadtxt(source, skiprows=skip)
-    with out:
+    with contextlib.ExitStack() as stack:
         try:
+            mine, theirs = (stack.enter_context(tempfile.NamedTemporaryFile()) for _ in "ab")
+            with open(source, "rb") as raw:
+                # From the newline that ends the skipped lines, so that only the
+                # file's own first bytes are read as a byte order mark.
+                raw.seek(max(start - 1, 0))
+                quotes = 0  # before `chunk`
+                while chunk := raw.read(min(end - raw.tell(), 1 << 20)):
+                    mine.write(chunk)
+                    if quotes % 2 or b'"' in chunk:
+                        a = np.frombuffer(chunk, np.uint8)
+                        if np.any((np.searchsorted(np.flatnonzero(a == 34),
+                                                   np.flatnonzero(a == 10)) + quotes) % 2):
+                            return _loadtxt(source, skiprows=skip)
+                        quotes += chunk.count(b'"')
+            mine.flush()
             with warnings.catch_warnings():
                 # Python >= 3.12 warns when a process with threads (OpenBLAS's)
                 # forks; the child runs no code that needs them.
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
-        except OSError:  # no memory or process to spare: one process parses
+        except OSError:  # no file, memory or process to spare: one process parses
             return _loadtxt(source, skiprows=skip)
         if pid == 0:
-            code = 1
+            status = 1
             try:
+                with open(source, "rb") as raw, open(theirs.name, "wb") as out:
+                    raw.seek(cut)
+                    shutil.copyfileobj(raw, out)
                 try:
-                    reply, status = _loadtxt(source, skiprows=lines).data, 0
+                    reply, code = _loadtxt(theirs.name), 0
                 except ValueError as exc:
-                    reply, status = str(exc).encode("utf-8"), 2
-                out.write(reply)
-                out.flush()
-                code = status
+                    reply, code = str(exc), 2
+                with open(theirs.name, "wb") as out:  # np.save copies no rows to a file
+                    np.save(out, reply)
+                status = code
             finally:
-                os._exit(code)
+                os._exit(status)
         try:
-            head = _loadtxt(source, skiprows=skip, max_rows=rows + 1)
+            rows = _loadtxt(mine.name)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        out.seek(0)
         if code == 2:
-            raise _loadtxt_error(path, source, skip, out.read().decode("utf-8"), rows)
+            raise _loadtxt_error(path, source, skip, str(np.load(theirs.name)), len(rows) - 1)
         if code != 0:
             raise CliError(f"{path}: the process parsing the second half of the file "
                            f"ended without a result (exit status {code})")
-        return np.concatenate((head[:rows], np.fromfile(out, float).reshape(-1, head.shape[1])))
+        return np.concatenate((rows[:-1], np.load(theirs.name)))
 
 
 def _loadtxt_error(path: str, source: str, skip: int, msg: str, rows_before: int = 0) -> CliError:
@@ -283,7 +266,7 @@ def _loadtxt_error(path: str, source: str, skip: int, msg: str, rows_before: int
 def _row_error(path: str, source: str, skip: int, row: int, text: str) -> CliError:
     """`text` cited at data row `row` (0-based over the non-empty lines of
     `source` after the first `skip`), as path:line with the 1-based line."""
-    with open(source, encoding="utf-8") as fh:
+    with open(source, encoding="utf-8-sig") as fh:
         lines = (i for i, line in enumerate(fh, start=1) if i > skip and line != "\n")
         return CliError(f"{path}:{next(itertools.islice(lines, row, None))}: {text}")
 

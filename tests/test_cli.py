@@ -255,9 +255,20 @@ class TestBadInput:
 
 
 @pytest.fixture
-def two_processes(monkeypatch):
-    """Parse every file with data in two processes, where the cut leaves a
-    second half."""
+def spool_dir(tmp_path, monkeypatch):
+    """A fresh directory as tempfile's, which the test leaves empty: no
+    temporary copy of the input outlives a read."""
+    path = tmp_path / "tempdir"
+    path.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    yield path
+    assert not any(path.iterdir())
+
+
+@pytest.fixture
+def two_processes(monkeypatch, spool_dir):
+    """Parse every file with data in two processes, where a row follows the
+    middle of the data."""
     monkeypatch.setattr(stable_extrap.cli, "_SPLIT_BYTES", 0)
     monkeypatch.setattr(stable_extrap.cli, "_cpus", lambda: 2)
 
@@ -279,8 +290,8 @@ def _data_lines(n, eol="\n", quoted=False):
 
 
 def _first_line_past_cut(lines):
-    """Index into `lines` of the first line after the cut, the newline that
-    ends the line holding the middle byte of the data."""
+    """Index into `lines` of the first line after the one holding the middle
+    byte of the data: the row both processes parse, where it is not blank."""
     data = sum(len(line.encode()) for line in lines)
     mid, pos = data // 2, 0
     for i, line in enumerate(lines):
@@ -290,9 +301,11 @@ def _first_line_past_cut(lines):
     raise AssertionError("no line holds the middle byte")
 
 
+@pytest.mark.usefixtures("spool_dir")
 class TestTwoProcessIngest:
-    """read_samples_csv on a file cut in two at a newline near the middle of
-    its data: the same bits and the same messages as one process."""
+    """read_samples_csv on a file parsed in two halves that share the first
+    row past the middle of its data: the same bits and the same messages as
+    one process, and no temporary copy left behind."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -309,15 +322,6 @@ class TestTwoProcessIngest:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         return calls
-
-    @pytest.fixture
-    def spool_dir(self, tmp_path, monkeypatch):
-        """A fresh directory as tempfile's, for tests that assert the split
-        leaves nothing in it."""
-        path = tmp_path / "tempdir"
-        path.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(path))
-        return path
 
     def read_both(self, monkeypatch, forks, path):
         """The result of two processes, then one, and the forks of the first;
@@ -431,11 +435,11 @@ class TestTwoProcessIngest:
         assert two == np.cos(make_grid(GridKind.EQUISPACED, 400).points).tobytes()
 
     def test_blank_second_half(self, tmp_path, monkeypatch, forks):
-        # The cut falls among blank lines, and the child reads no rows.
+        # Only blank lines follow the middle: no row to share, no second process.
         path = tmp_path / "tail.csv"
         path.write_text("".join(["x,y\n"] + _data_lines(40) + ["\n"] * 4000))
         two, one, n_forks = self.read_both(monkeypatch, forks, path)
-        assert n_forks == 1 and two == one
+        assert n_forks == 0 and two == one
 
     @pytest.mark.parametrize("header", ['"x","y"\n', "x,y\n", ""])
     def test_quoted_cells(self, tmp_path, monkeypatch, forks, header):
@@ -456,8 +460,22 @@ class TestTwoProcessIngest:
         two, one, n_forks = self.read_both(monkeypatch, forks, path)
         assert n_forks == 0 and two == one
 
+    def test_quote_left_open_across_a_read_block(self, tmp_path, monkeypatch, forks):
+        # The parent copies its part in 1 MiB blocks from the newline that
+        # ends the header; a quote opened in the last line of the first block
+        # still holds the newlines of the next, which has none.
+        lines = _data_lines(80_000)
+        ends = np.cumsum([len(line) for line in lines]) + len("x,y\n")
+        k = int(np.searchsorted(ends, len("x,y") + (1 << 20), side="right"))
+        lines[k] = '"' + lines[k]
+        path = tmp_path / "q.csv"
+        path.write_text("".join(["x,y\n"] + lines))
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 0 and two == one
+
     def test_lone_cr_is_read_in_one_process(self, tmp_path, monkeypatch, forks):
-        # loadtxt reads a lone CR as a newline; the first 100 lines end in one.
+        # loadtxt reads a lone CR as a newline; the header and the first 100
+        # lines end in one, so the lines loadtxt skips are not readline's.
         lines = _data_lines(400)
         lines[:100] = [line[:-1] + "\r" for line in lines[:100]]
         path = tmp_path / "cr.csv"
@@ -465,6 +483,48 @@ class TestTwoProcessIngest:
         two, one, n_forks = self.read_both(monkeypatch, forks, path)
         assert n_forks == 0 and two == one
         assert two == np.cos(make_grid(GridKind.EQUISPACED, 400).points).tobytes()
+
+    def test_lone_cr_in_data_rows_is_split(self, tmp_path, monkeypatch, forks):
+        # Below a header that ends in a newline, lone CRs in the rows before
+        # the middle are the parent's to parse.
+        lines = _data_lines(400)
+        lines[:100] = [line[:-1] + "\r" for line in lines[:100]]
+        path = tmp_path / "cr.csv"
+        path.write_bytes("".join(["x,y\n"] + lines).encode())
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 1 and two == one
+        assert two == np.cos(make_grid(GridKind.EQUISPACED, 400).points).tobytes()
+
+    def test_lone_cr_in_the_shared_row_is_read_in_one_process(self, tmp_path, monkeypatch,
+                                                              forks):
+        # That line is two rows to loadtxt.
+        lines = _data_lines(400)
+        k = _first_line_past_cut(lines)
+        lines[k] = lines[k][:-1] + "\r" + lines[k + 1]
+        del lines[k + 1]
+        path = tmp_path / "cr.csv"
+        path.write_bytes("".join(["x,y\n"] + lines).encode())
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 0 and two == one
+        assert two == np.cos(make_grid(GridKind.EQUISPACED, 400).points).tobytes()
+
+    @pytest.mark.parametrize("header", ["x,y\n", ""])
+    def test_utf8_byte_order_mark(self, tmp_path, monkeypatch, forks, header):
+        # A BOM opens the text, not the first cell, with or without a header.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (header + "".join(_data_lines(400))).encode())
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 1 and two == one
+        assert two == np.cos(make_grid(GridKind.EQUISPACED, 400).points).tobytes()
+
+    def test_byte_order_mark_below_the_header_is_data(self, tmp_path, monkeypatch, forks):
+        # Only the file's first bytes may be a BOM, also to the parent's copy.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"x,y\n\xef\xbb\xbf" + "".join(_data_lines(400)).encode())
+        two, one, n_forks = self.read_both(monkeypatch, forks, path)
+        assert n_forks == 1
+        assert two == one == (f"{path}:2: column 1: could not convert string "
+                              r"'\ufeff-1.0' to float")
 
     def test_threshold(self, tmp_path, monkeypatch, forks):
         path = tmp_path / "s.csv"
@@ -508,14 +568,14 @@ class TestTwoProcessIngest:
     @pytest.mark.parametrize("short_of", ["tempfile", "fork"])
     def test_no_resources_for_a_second_process(self, tmp_path, monkeypatch, forks,
                                                short_of):
-        """Where the child's temporary file or the child cannot be had, one
-        process parses, and no descriptor is left open."""
+        """Where a temporary copy or the child cannot be had, one process
+        parses, and no descriptor is left open."""
         import errno
 
         def refuse(*args, **kwargs):
             raise OSError(errno.ENOMEM, "refused")
 
-        target = {"tempfile": (tempfile, "TemporaryFile"), "fork": (os, "fork")}
+        target = {"tempfile": (tempfile, "NamedTemporaryFile"), "fork": (os, "fork")}
         monkeypatch.setattr(*target[short_of], refuse)
         path = tmp_path / "s.csv"
         _, ys = write_samples(path, 60_000, np.sin)
@@ -530,11 +590,11 @@ class TestTwoProcessIngest:
             read_samples_csv(str(path))
 
     def test_first_half_error_stops_the_child(self, tmp_path, monkeypatch, spool_dir):
-        # The child parses without max_rows; here it would sleep for a minute.
-        loadtxt = stable_extrap.cli._loadtxt
+        # Here the child would sleep for a minute.
+        loadtxt, parent = stable_extrap.cli._loadtxt, os.getpid()
 
         def slow_child(source, **kwargs):
-            if "max_rows" not in kwargs:
+            if os.getpid() != parent:
                 time.sleep(60)
             return loadtxt(source, **kwargs)
 
@@ -568,11 +628,11 @@ class TestTwoProcessIngest:
             assert read_samples_csv(str(path)).values.tobytes() == ys.tobytes()
 
     def test_child_killed_by_a_signal(self, tmp_path, monkeypatch, spool_dir):
-        # The child parses without max_rows; here it kills itself instead.
-        loadtxt = stable_extrap.cli._loadtxt
+        # Here the child kills itself instead of parsing.
+        loadtxt, parent = stable_extrap.cli._loadtxt, os.getpid()
 
         def child_dies(source, **kwargs):
-            if "max_rows" not in kwargs:
+            if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return loadtxt(source, **kwargs)
 
