@@ -16,7 +16,10 @@ multipole and NUFFT-type methods), which is exact for the degree-M
 polynomials a panel carries: one BLAS product per block of panels and side
 of the grid's mirror, the left side a view of the samples and the right one
 a reversed copy in a buffer of one block, at shapes fixed by w, about NK
-multiply-adds, and the three-term recurrence over only K proxies per panel.
+multiply-adds. One level up, one fixed matrix moves the proxies of each
+group of G panels onto K proxies of their union (the upward pass of the
+fast multipole method), so the three-term recurrence runs over only K
+proxies per G panels.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ _CHUNK = 16384  # rhs: folded points per plain block, and proxies per batch
 # most this many entries (512 KB).
 _PANEL_MAX = 2048
 _PANEL_ENTRIES = 65536
-# Samples per panel product in rhs, whatever _CHUNK is: the bits of a
-# taller product can depend on the BLAS thread count (see rhs).
+# Samples per panel product and groups per merge product in rhs, whatever
+# _CHUNK is: the bits of a taller product can depend on the BLAS thread
+# count (see rhs).
 _PRODUCT_POINTS = 16384
+_MERGE_ROWS = 4
 
 # B_{s+1}/(s+1)! for the odd correction orders s; even-order corrections
 # vanish identically. Under M <= sqrt(N)/2 each factor (k^2 - l^2)/(N(l+1/2))
@@ -138,31 +143,66 @@ def _panel_width(n_coeffs: int) -> int:
     return 1 << (cap.bit_length() - 1)
 
 
-@lru_cache(maxsize=8)
-def _panel_operators(n_coeffs: int, width: int):
-    """The fixed, read-only matrices of a panel of `width` points and K = M+1
-    proxies, cached per (K, w).
+def _group_size(n_coeffs: int) -> int:
+    """Largest power of two G with G K^2 <= _PANEL_ENTRIES: 4 at K = 126,
+    32 at K = 36 and 64 at K = 28, so the G K x K merge matrix is at most
+    512 KB. At K = 1 (M = 0) it is 1: there the recurrence is one sum, which
+    a merge cannot shorten, and a merge product would be a dot product of
+    65536 terms, whose bits OpenBLAS 0.3.31 changed under two threads."""
+    if n_coeffs == 1:
+        return 1
+    cap = _PANEL_ENTRIES // (n_coeffs * n_coeffs)
+    return 1 << (cap.bit_length() - 1)
 
-    Returns (lam, tau). lam is the C-contiguous w x K anterpolation matrix
-    lam[i, k] = l_k(t_i): the Lagrange cardinal polynomials l_k of the K
-    Chebyshev points tau_k = cos((k+1/2)pi/K) at the local nodes
-    t_i = (2i - (w-1))/w, as l_k(t) = sum_{l<K} (c_l/K) T_l(t) T_l(tau_k)
-    with c_0 = 1 and c_l = 2 otherwise, summed by numpy's own einsum in a
-    fixed order.
-    """
+
+def _cardinal_values(n_coeffs: int, t: np.ndarray) -> np.ndarray:
+    """The len(t) x K matrix l_k(t_i) of the Lagrange cardinal polynomials
+    l_k of the K Chebyshev points tau_k = cos((k+1/2)pi/K), as
+    l_k(t) = sum_{l<K} (c_l/K) T_l(t) T_l(tau_k) with c_0 = 1 and c_l = 2
+    otherwise, summed by numpy's own einsum in a fixed order."""
     k = n_coeffs
     theta = (np.arange(k) + 0.5) * np.pi / k
-    tau = np.cos(theta)
-    t = (2.0 * np.arange(width) - (width - 1)) / width  # exact in binary
-    cheb_at_t = np.empty((width, k))
+    cheb_at_t = np.empty((t.size, k))
     for m, t_m in enumerate(_recurrence(Basis.CHEBYSHEV, t, k - 1)):
         cheb_at_t[:, m] = t_m
     scale = np.full(k, 2.0 / k)
     scale[0] = 1.0 / k
     cheb_at_tau = scale[:, None] * np.cos(np.arange(k)[:, None] * theta)
-    lam = np.einsum("im,mk->ik", cheb_at_t, cheb_at_tau)
+    return np.einsum("im,mk->ik", cheb_at_t, cheb_at_tau)
+
+
+@lru_cache(maxsize=8)
+def _panel_operators(n_coeffs: int, width: int):
+    """The fixed, read-only matrices of a panel of `width` points and K = M+1
+    proxies, cached per (K, w).
+
+    Returns (lam, tau): the K Chebyshev points tau_k = cos((k+1/2)pi/K) and
+    the C-contiguous w x K anterpolation matrix lam[i, k] = l_k(t_i)
+    (_cardinal_values) at the local nodes t_i = (2i - (w-1))/w.
+    """
+    tau = np.cos((np.arange(n_coeffs) + 0.5) * np.pi / n_coeffs)
+    t = (2.0 * np.arange(width) - (width - 1)) / width  # exact in binary
+    lam = _cardinal_values(n_coeffs, t)
     lam.flags.writeable = tau.flags.writeable = False
     return lam, tau
+
+
+@lru_cache(maxsize=8)
+def _merge_operator(n_coeffs: int, group: int) -> np.ndarray:
+    """The fixed, read-only G K x K matrix that moves the proxy weights of G
+    adjacent panels onto the K proxies of their union, cached per (K, G).
+
+    In the union's coordinate u, panel j's proxy k sits at
+    u_{j,k} = (2j + 1 - G + tau_k)/G, and row jK + k of the matrix holds
+    l_k'(u_{j,k}) (_cardinal_values). It is the anterpolation of
+    _panel_operators one level up, the upward pass of the fast multipole
+    method, and exact in real arithmetic for polynomials of degree <= M.
+    """
+    tau = np.cos((np.arange(n_coeffs) + 0.5) * np.pi / n_coeffs)
+    u = ((2.0 * np.arange(group) + (1 - group))[:, None] + tau) / group
+    merge = _cardinal_values(n_coeffs, u.reshape(-1))
+    merge.flags.writeable = False
+    return merge
 
 
 def _proxy_weights(left: np.ndarray, right: np.ndarray, lam: np.ndarray,
@@ -182,13 +222,23 @@ def _proxy_weights(left: np.ndarray, right: np.ndarray, lam: np.ndarray,
     np.subtract(scratch[0], scratch[1], out=nu[1])
 
 
-def _proxies(nu: np.ndarray, first: int, width: int, n: int, tau: np.ndarray):
-    """The points and the even and odd weights of the proxies of panels
-    first, first+1, ..., as _parity_sums takes them: panel p's K proxies sit
-    at c_p + (w/N) tau, c_p = (2pw + w - 1)/N - 1, with the weights
-    nu[0, p - first] and nu[1, p - first]."""
-    p = first + np.arange(nu.shape[1])
-    z = ((2.0 * width * p + (width - 1))[:, None] + width * tau) / n - 1.0
+def _merge_weights(nu: np.ndarray, merge: np.ndarray, mu: np.ndarray):
+    """mu[a, q] = nu[a, qG:(q+1)G] (G K weights in a row) @ merge for each
+    parity a and group q, in BLAS products of at most _MERGE_ROWS groups."""
+    for a in range(2):
+        rows = nu[a].reshape(-1, merge.shape[0])
+        for q in range(0, rows.shape[0], _MERGE_ROWS):
+            np.matmul(rows[q:q + _MERGE_ROWS], merge, out=mu[a, q:q + _MERGE_ROWS])
+
+
+def _proxies(nu: np.ndarray, lo: int, width: int, n: int, tau: np.ndarray):
+    """The points and the even and odd weights of the proxies of consecutive
+    spans of `width` points from point lo on, as _parity_sums takes them:
+    span j's K proxies sit at c_j + (width/N) tau, with
+    c_j = (2 lo + (2j + 1) width - 1)/N - 1, and the weights nu[0, j] and
+    nu[1, j]."""
+    j = np.arange(nu.shape[1])
+    z = ((2 * lo + (2 * j + 1) * width - 1)[:, None] + width * tau) / n - 1.0
     return z.reshape(-1), nu[0].reshape(-1), nu[1].reshape(-1)
 
 
@@ -236,11 +286,21 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     same order and mirrored (antisymmetric) samples keep the odd (even)
     entries of b exactly zero, as the parity of the fit needs; a product of
     the right side as it lies, against the row-reversed lam, left them at
-    about 1e-18 sum|y|. The cost is about NK multiply-adds there, a copy of
-    N/2 samples, and PKM for the recurrence over the PK proxies of P panels.
-    The proxies sit at the grid's positions 2k/N - 1, each formed as
-    ((2pw + w - 1) + w tau_k)/N - 1 (w tau_k is exact) rather than as the
-    sum of the rounded c_p and (w/N) tau_k.
+    about 1e-18 sum|y|.
+
+    One level up, each group of G adjacent compressed panels (_group_size:
+    4 at K = 126, 64 at K = 28) moves its G K proxy weights onto the K
+    Chebyshev proxies of its span in the same way, with one fixed G K x K
+    matrix (_merge_operator): the upward pass of the fast multipole method
+    (Greengard and Rokhlin, 1987), exact for the degree-M polynomials a
+    group carries. The fewer than G panels past the last whole group keep
+    their own proxies. The cost is about NK multiply-adds for the panels, a
+    copy of N/2 samples, G K^2 per group for the merge, and about
+    M(NK/(2Gw) + 2w + GK) for the recurrence, which runs over 2,421 points
+    at (N, M) = (62500, 125) and 4,041 at (4e6, 27). A span of W = w or Gw
+    points from point lo has its proxies at the grid's positions 2k/N - 1,
+    each formed as ((2 lo + W - 1) + W tau_k)/N - 1 (W tau_k is exact)
+    rather than as the sum of a rounded centre and (W/N) tau_k.
 
     Every other folded point is its own proxy: the first panel, at x = -1,
     and the fewer than w points past the last whole panel, an even N's
@@ -259,16 +319,24 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     its own proxy and the same recurrence runs over blocks of _CHUNK points.
 
     Each product holds at most _PRODUCT_POINTS / w panels, whatever _CHUNK is,
-    and the proxies are summed in batches of about _CHUNK, so the extra space
-    is O(_CHUNK + _PRODUCT_POINTS + Kw), under 2 MB, besides the panel
-    operators, cached per (K, w). The products are the one use of BLAS, whose
-    bits can depend on the thread count: on OpenBLAS 0.3.31, a
-    (P x w) @ (w x K) product gave other bits under two threads than under
-    one once P >= 33, at K = 36 (w = 1024) and at K = 101 and 126 (w = 512).
-    Their shapes are fixed by w and _PRODUCT_POINTS, and the tests pin the
-    bits of all 2,816 under each thread count they run. Every other product
-    and reduction is numpy's own single-threaded einsum (or np.sum) in a
-    fixed order, so the bits do not depend on the number of BLAS threads.
+    and the weights are merged and summed in batches of about _CHUNK / K
+    panels, a whole number of groups (at least one, or every compressed
+    panel when there are fewer than G), so that no group straddles two
+    batches. So the extra space is
+    O(_CHUNK + _PRODUCT_POINTS + Kw + GK^2), under 2 MB, besides the panel
+    and merge operators, cached per (K, w) and (K, G). The products are the
+    one use of BLAS, whose bits can depend on the thread count. On OpenBLAS
+    0.3.31 a (P x w) @ (w x K) panel product gave other bits under two
+    threads than under one once P >= 33, at K = 36 (w = 1024) and at K = 101
+    and 126 (w = 512). A (Q x GK) @ (GK x K) merge product did so once
+    Q >= 16 groups, at K = 63, 89, 90, 126 and 127 (about 2^20
+    multiply-adds), and never at Q < 16 over every K = 2..128 and Q <= 48;
+    so a merge product holds at most _MERGE_ROWS = 4 groups, a quarter of
+    that. The shapes are fixed by w, G, _PRODUCT_POINTS and _MERGE_ROWS, and
+    the tests pin the bits of all 2,816 panel and 512 merge shapes under each
+    thread count they run. Every other product and reduction is numpy's own
+    single-threaded einsum (or np.sum) in a fixed order, so the bits do not
+    depend on the number of BLAS threads.
 
     Raises ValueError if the sample count differs from the grid's or if M < 0.
     """
@@ -295,17 +363,23 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
         return b
 
     lam, tau = _panel_operators(k, w)
+    group = _group_size(k)
+    merge = _merge_operator(k, group)
     tail = whole * w
-    # s and d of the points that are their own proxies: the first panel, at
-    # x = -1, and those past the last whole panel
-    own = np.empty((2, w + half - tail))
-    _fold(y, 0, *own[:, :w])
-    _fold(y, tail, *own[:, w:])
+    # The points that are their own proxies, with their s and d: the first
+    # panel, at x = -1, and those past the last whole panel.
+    own = np.empty((3, w + half - tail))
+    own[0, :w], own[0, w:] = x[:w], x[tail:half]
+    _fold(y, 0, *own[1:, :w])
+    _fold(y, tail, *own[1:, w:])
     rows = _PRODUCT_POINTS // w  # panels per product
-    batch = max(1, min(_CHUNK // k, whole - 1))  # panels per proxy sum
+    # panels per proxy sum: whole groups, so that none straddles two sums,
+    # unless fewer than G panels are whole
+    batch = min(whole - 1, group * max(1, min(_CHUNK // k, whole - 1) // group))
     mirror = np.empty((rows, w))
     scratch = np.empty((2, rows, k))
     nu = np.empty((2, batch, k))
+    mu = np.empty((2, batch // group, k))
     b = np.zeros(k)
     for first in range(1, whole, batch):
         stop = min(first + batch, whole)
@@ -314,11 +388,13 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
             _proxy_weights(y[p * w:q * w].reshape(-1, w),
                            y[::-1][p * w:q * w].reshape(-1, w), lam, mirror[:q - p],
                            scratch[:, :q - p], nu[:, p - first:q - first])
-        proxies = _proxies(nu[:, :stop - first], first, w, n, tau)
+        groups = (stop - first) // group
+        merged = groups * group
+        _merge_weights(nu[:, :merged], merge, mu[:, :groups])
+        spans = (_proxies(mu[:, :groups], first * w, group * w, n, tau),
+                 _proxies(nu[:, merged:stop - first], (first + merged) * w, w, n, tau))
         if stop < whole:
-            b += _parity_sums(*proxies, m_degree)
-    # They join the last batch's proxies in one recurrence.
-    points, even_w, odd_w = proxies
-    return b + _parity_sums(np.concatenate((x[:w], x[tail:half], points)),
-                            np.concatenate((own[0], even_w)),
-                            np.concatenate((own[1], odd_w)), m_degree)
+            b += _parity_sums(*map(np.concatenate, zip(*spans)), m_degree)
+    # The last sum's proxies join the points that are their own proxies in
+    # one recurrence.
+    return b + _parity_sums(*map(np.concatenate, zip(own, *spans)), m_degree)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,10 +44,8 @@ class FitResult:
     def gram(self) -> np.ndarray:
         """The Chebyshev Gram that was solved, read-only. It depends on
         (M, N) alone, so a kept result holds O(M) numbers and the Gram is
-        rebuilt on each access, with the bits the solve used."""
-        g = gram_fast(self.m_degree, self.n_samples)
-        g.setflags(write=False)
-        return g
+        read from fit's (M, N) cache, rebuilt with the same bits on a miss."""
+        return _normal_matrix(self.m_degree, self.n_samples)[0]
 
 
 def psi_table(n: int) -> np.ndarray:
@@ -110,7 +109,11 @@ def fit(samples: SampleSet, m_degree: int) -> FitResult:
     the odd-degree equations, g[p::2, p::2] c[p::2] = b[p::2] for p = 0, 1,
     which an unshifted Cholesky solves apart at half size. The interleaved
     solution is verified against the whole system to a residual of
-    1e-10 * ||b|| (else SolverError); sigma_min and kappa come from G.
+    1e-10 * ||b|| (else SolverError); sigma_min and kappa come from G's
+    spectral_report. G, its Cholesky factors and that report depend on
+    (M, N) alone and come from a cache of the last two (M, N)
+    (_normal_matrix), so a repeat fit computes only b, two pairs of
+    triangular solves and the residual.
 
     The fit is linear in y. When max|b| passes 2^500, past which ||b||^2
     in the residual check could overflow, or b itself overflows, the samples
@@ -126,16 +129,18 @@ def fit(samples: SampleSet, m_degree: int) -> FitResult:
             f"degree M={m_degree} exceeds sqrt(N)/2={0.5 * math.sqrt(n):.2f} "
             f"(N={n}); fit needs N >= 4M^2")
 
-    g = gram_fast(m_degree, n)
     with np.errstate(over="ignore", invalid="ignore"):
         b = rhs(samples.grid, samples.values, m_degree)
     exponent = 0
     if not np.max(np.abs(b)) <= 2.0 ** 500:
         exponent = math.frexp(np.max(np.abs(samples.values)))[1]
         b = rhs(samples.grid, np.ldexp(samples.values, -exponent), m_degree)
+    g, lows, report = _normal_matrix(m_degree, n)
     coeffs = np.empty(m_degree + 1)
-    for p in range(min(2, m_degree + 1)):
-        coeffs[p::2] = _cholesky_solve(g[p::2, p::2], b[p::2])
+    # numpy has no triangular solver; np.linalg.solve's O(M^3) LU costs
+    # well under a millisecond at the degrees used here.
+    for p, low in enumerate(lows):
+        coeffs[p::2] = np.linalg.solve(low.T, np.linalg.solve(low, b[p::2]))
 
     resid = float(np.linalg.norm(g @ coeffs - b))
     if not resid <= 1e-10 * max(float(np.linalg.norm(b)), 1e-300):
@@ -150,17 +155,24 @@ def fit(samples: SampleSet, m_degree: int) -> FitResult:
             raise ValueError(f"the samples overflow the degree-{m_degree} fit's "
                              f"coefficients (N={n})")
 
-    report = spectral_report(g)
     return FitResult(ChebyshevSeries(coeffs), m_degree, n, report.cond2 ** 2,
                      report.sigma_min)
 
 
-def _cholesky_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve g c = b through g = L L^T; raises LinAlgError unless g is
+@lru_cache(maxsize=2)
+def _normal_matrix(m_degree: int, n_samples: int):
+    """fit's work that depends on (M, N) alone, cached for the last two
+    (M, N): the read-only gram_fast(M, N), the read-only Cholesky factors L
+    (g = L L^T) of its parity blocks g[p::2, p::2], p = 0, 1 (one block at
+    M = 0), and its spectral_report. gram_fast and spectral_report are
+    called through this module's globals, so that a wrapper set there sees
+    each miss. np.linalg.cholesky raises LinAlgError unless a block is
     positive definite, which fit's Grams, and so their parity blocks, are
-    (tested up to M = 600 at N = 4M^2). fit passes one parity block at a
-    time, of order about M/2. numpy has no triangular solver, so L and L^T
-    go through np.linalg.solve, whose O(M^3) LU costs well under a
-    millisecond at the degrees used here."""
-    low = np.linalg.cholesky(g)
-    return np.linalg.solve(low.T, np.linalg.solve(low, b))
+    (tested up to M = 600 at N = 4M^2); an error is not cached. At M = 1000
+    an entry holds about 12 MB: the 8 MB Gram and two 2 MB factors."""
+    g = gram_fast(m_degree, n_samples)
+    g.setflags(write=False)
+    lows = tuple(np.linalg.cholesky(g[p::2, p::2]) for p in range(min(2, m_degree + 1)))
+    for low in lows:
+        low.setflags(write=False)
+    return g, lows, spectral_report(g)

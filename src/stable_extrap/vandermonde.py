@@ -5,8 +5,8 @@ square design matrix with it, and the tests keep it as the reference for the
 fast Gram and for the design spectra, which verify and experiments take from
 the SVD of V.
 
-spectral_report, which fit uses for sigma_min and kappa, takes the
-extreme eigenvalues from LAPACK's symmetric eigensolver (np.linalg.eigvalsh),
+spectral_report, which fit uses for sigma_min and kappa (once per (M, N)
+while that pair stays in fit's cache), takes the extreme eigenvalues from LAPACK's symmetric eigensolver (np.linalg.eigvalsh),
 on fit's Grams one solve per parity block of order about M/2. At N = 4M^2
 its bits, like those of fit's block Cholesky solves, were the same under 1
 and 2 BLAS threads up to M = 250 (tested to M = 125) and differed at

@@ -1030,6 +1030,22 @@ class TestExtrapolateCommand:
         doc = json.loads(out_path.read_text())
         assert doc["M_star"] == 0 and doc["degenerate"] is True
 
+    @pytest.mark.parametrize("command", [["fit", "--M", "3"],
+                                         ["extrapolate", "--rho", "2", "--eps", "1e-10",
+                                          "--Q", "1.5", "--at", "1.1"]])
+    def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # Triangular solves perturbed by 1e-6 trip fit's residual guard;
+        # the CLI reports SolverError's message and exits 3.
+        csv_path = tmp_path / "f.csv"
+        write_samples(csv_path, 64, np.cos)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+        code = main([command[0], "--input", str(csv_path), *command[1:]])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"^stable-extrap: error: normal-equation residual \S+ exceeds "
+                         r"tolerance \(M=\d+, N=64\)$", err, re.M), err
+
     def test_at_interval_edge_exits_2(self, tmp_path, capsys):
         # (rho + 1/rho)/2 = 1.25 exactly at rho = 2; the interval is open there.
         csv_path = tmp_path / "f.csv"

@@ -149,6 +149,24 @@ class TestExtrapolate:
         noise = (m + 1) * math.sqrt(401) * params.eps / sigma * (params.rho * r) ** m
         assert report.points[0].bound_explicit == pytest.approx(lead + noise, rel=1e-15)
 
+    @pytest.mark.parametrize("n, eps, regime", [(2500, 1e-6, Regime.OVERSAMPLED),
+                                                 (400, 1e-12, Regime.UNDERSAMPLED)])
+    def test_bound_asymptotic_factor_is_the_papers_rate(self, n, eps, regime):
+        # Q/(1-r) (eps/Q)^alpha(x) when oversampled (log(Q/eps)/log(rho) <
+        # sqrt(N)/2) and Q/(1-r) r^(sqrt(N)/2) when undersampled, with
+        # r = (x + sqrt(x^2-1))/rho and alpha = -log(r)/log(rho).
+        params = ProblemParams(n, 2.414, eps, 1.5)
+        xs = [1.0, 1.1, 1.2]
+        report = extrapolate(equispaced_samples(np.cos, n), params, xs)
+        assert report.regime == regime
+        for x, point in zip(xs, report.points):
+            r = (x + math.sqrt(x * x - 1.0)) / params.rho
+            alpha = -math.log(r) / math.log(params.rho)
+            rate = ((eps / params.q) ** alpha if regime == Regime.OVERSAMPLED
+                    else r ** (math.sqrt(n) / 2.0))
+            expected = params.q / (1.0 - r) * rate
+            assert point.bound_asymptotic_factor == pytest.approx(expected, rel=1e-12), x
+
     def test_exact_samples_error_below_bound(self):
         fn = lambda x: 1.0 / (1.0 + np.asarray(x) ** 2)
         params = ProblemParams(1600, 2.414, 2.2e-16, 1.5)
@@ -244,8 +262,9 @@ class TestExtrapolate:
         assert floor <= report.sigma_min
 
     def test_builds_gram_once(self, monkeypatch):
-        # sigma_min comes from the Gram that fit solved, with the same bits
-        # as a fresh gram_fast(M*, N).
+        # Two jobs at one (M*, N) build its Gram once, and sigma_min comes
+        # from the Gram that fit solved, with the same bits as a fresh
+        # gram_fast(M*, N).
         calls = []
 
         def counting_gram_fast(*args, **kwargs):
@@ -257,7 +276,11 @@ class TestExtrapolate:
         fn = lambda x: 1.0 / (1.0 + 25.0 * np.asarray(x) ** 2)
         n = 2500
         params = ProblemParams(n, 1.2, 1e-10, 2.0)
+        stable_extrap.solver._normal_matrix.cache_clear()
         report = extrapolate(equispaced_samples(fn, n), params, [1.01])
+        # A second job at the same (M*, N) reads fit's (M, N) cache.
+        again = extrapolate(equispaced_samples(lambda x: np.cos(3.0 * x), n), params, [1.01])
+        assert again.m_star == report.m_star
         assert calls == [(report.m_star, n)]
         expected = spectral_report(gram_fast(report.m_star, n)).sigma_min
         assert np.float64(report.sigma_min).tobytes() == np.float64(expected).tobytes()

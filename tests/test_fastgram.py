@@ -413,6 +413,38 @@ class TestRhs:
         assert outputs[0].split()[0] == b"2816"
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_merge_product_bits_independent_of_blas_threads(
+            self, outputs_per_blas_thread_count):
+        """_merge_weights's BLAS products, (Q x GK) @ (GK x K), and the merge
+        matrix itself, have the same bits under OPENBLAS_NUM_THREADS 1, 2
+        and 4 at every shape rhs can issue: each K = M+1 that compresses,
+        its G, and each Q = 1 .. _MERGE_ROWS groups per product, for both
+        parities."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from stable_extrap import fastgram\n"
+            "digest, shapes = hashlib.sha1(), 0\n"
+            "rng = np.random.default_rng(0)\n"
+            "k = 1\n"
+            "while fastgram._panel_width(k) >= 4 * k:\n"
+            "    group = fastgram._group_size(k)\n"
+            "    merge = fastgram._merge_operator(k, group)\n"
+            "    digest.update(merge.tobytes())\n"
+            "    rows = fastgram._MERGE_ROWS\n"
+            "    nu = rng.normal(size=(2, rows * group, k))\n"
+            "    mu = np.empty((2, rows, k))\n"
+            "    for q in range(1, rows + 1):\n"
+            "        fastgram._merge_weights(nu[:, :q * group], merge, mu[:, :q])\n"
+            "        digest.update(mu[:, :q].tobytes())\n"
+            "        shapes += 1\n"
+            "    k += 1\n"
+            "print(shapes, digest.hexdigest())\n"
+        )
+        outputs = outputs_per_blas_thread_count(script, ("1", "2", "4"))
+        # K = 1..128, four heights each.
+        assert outputs[0].split()[0] == b"512"
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_panel_operators_cached_read_only(self):
         lam, tau = fastgram._panel_operators(126, 512)
         assert fastgram._panel_operators(126, 512)[0] is lam
@@ -440,13 +472,42 @@ class TestRhs:
         cheb_t, cheb_tau = (long_double_chebyshev(z, n_coeffs - 1) for z in (t, tau))
         assert np.max(np.abs(exact @ cheb_tau - cheb_t)) <= 3e-13
 
+    def test_merge_operator(self):
+        """The G K x K merge matrix holds l_k'(u_{j,k}), the cardinal
+        polynomials of the K Chebyshev points at the child proxies
+        u_{j,k} = (2j + 1 - G + tau_k)/G of G adjacent panels, for every
+        K = M+1 that compresses, at G from _group_size: each row sums to 1,
+        and merge T(tau) reproduces T_l(u_{j,k}) for every l <= M, both
+        against long-double references. The largest errors were 4.8e-14
+        (row sums, K = 120) and 6.3e-13 (T_l, K = 114); the bounds leave
+        about 2x. It is cached and read-only."""
+        k, widths = 1, set()
+        while (w := fastgram._panel_width(k)) >= 4 * k:
+            group = fastgram._group_size(k)
+            assert group * k * k <= fastgram._PANEL_ENTRIES < 2 * group * k * k or k == 1
+            merge = fastgram._merge_operator(k, group)
+            assert fastgram._merge_operator(k, group) is merge
+            assert merge.shape == (group * k, k) and not merge.flags.writeable
+            tau = fastgram._panel_operators(k, w)[1]
+            u = ((2.0 * np.arange(group) + (1 - group))[:, None] + tau) / group
+            exact = merge.astype(np.longdouble)
+            assert np.max(np.abs(exact.sum(axis=1) - 1)) <= 1e-13, k
+            cheb_u, cheb_tau = (long_double_chebyshev(z, k - 1) for z in (u.reshape(-1), tau))
+            assert np.max(np.abs(exact @ cheb_tau - cheb_u)) <= 1.3e-12, k
+            widths.add(w)
+            k += 1
+        assert k == 129 and widths == {512, 1024, 2048}
+        assert [fastgram._group_size(k) for k in (1, 28, 36, 126)] == [1, 64, 32, 4]
+
     @pytest.mark.parametrize("n, m_deg", [(4_000_000, 27), (62_500, 125), (1_000_000, 35)])
     def test_extra_memory_bounded(self, n, m_deg):
-        # Cold, with the panel operators built inside the traced call, and
-        # warm, with them cached: 1.88 and 0.96 MB measured at (4e6, 27).
+        # Cold, with the panel and merge operators built inside the traced
+        # call, and warm, with them cached: 1.56 and 0.69 MB measured at
+        # (4e6, 27).
         grid = make_grid(GridKind.EQUISPACED, n)
         y = np.random.default_rng(1).normal(size=n + 1)
         fastgram._panel_operators.cache_clear()
+        fastgram._merge_operator.cache_clear()
         for state in ("cold", "warm"):
             tracemalloc.start()
             try:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stable_extrap.solver
 from stable_extrap import (
     Basis,
     ChebyshevSeries,
@@ -19,7 +20,12 @@ from stable_extrap import (
 )
 from stable_extrap.basis import cheb_eval
 from stable_extrap.fastgram import gram_fast
-from stable_extrap.solver import _basis_change_blocks, basis_change_matrix, psi_table
+from stable_extrap.solver import (
+    SolverError,
+    _basis_change_blocks,
+    basis_change_matrix,
+    psi_table,
+)
 from stable_extrap.vandermonde import gram_naive, design_matrix, spectral_report
 from stable_extrap.verify import check_s_norm
 
@@ -387,6 +393,54 @@ class TestFit:
         outputs = outputs_per_blas_thread_count(script)
         assert len(outputs[0].splitlines()) == 3
         assert outputs[0] == outputs[1]
+
+    def test_normal_matrix_cache_stays_bounded(self):
+        # A sweep over more (M, N) than fit's cache holds keeps at most
+        # maxsize entries, and a repeat (M, N) is a hit.
+        cache = stable_extrap.solver._normal_matrix
+        maxsize = cache.cache_info().maxsize
+        assert maxsize == 2
+        for n in (400, 401, 402):
+            for m_deg in range(maxsize + 2):
+                fit(equispaced_samples(np.cos, n), m_deg)
+                assert cache.cache_info().currsize <= maxsize, (n, m_deg)
+        hits = cache.cache_info().hits
+        fit(equispaced_samples(np.sin, 402), maxsize + 1)
+        assert cache.cache_info().hits == hits + 1
+
+    def test_fit_after_cache_hit_matches_cold_fit_bits(self):
+        # The cached Gram, factors and report give a fit the bits of one
+        # that builds them, at the benchmark's largest degree.
+        cache = stable_extrap.solver._normal_matrix
+        n, m_deg = 62_500, 125
+        runge = equispaced_samples(lambda x: 1.0 / (1.0 + 25.0 * x ** 2), n)
+        other = equispaced_samples(np.cos, n)
+        cache.cache_clear()
+        fit(other, m_deg)
+        warm = fit(runge, m_deg)
+        assert cache.cache_info().hits == 1
+        cache.cache_clear()
+        cold = fit(runge, m_deg)
+        assert cache.cache_info().misses == 1
+        assert warm.series.coeffs.tobytes() == cold.series.coeffs.tobytes()
+        assert np.float64(warm.sigma_min).tobytes() == np.float64(cold.sigma_min).tobytes()
+        assert warm.gram_cond_estimate == cold.gram_cond_estimate
+
+    @pytest.mark.parametrize("perturbation, raises", [(1e-12, False), (1e-9, True)])
+    def test_residual_guard(self, monkeypatch, perturbation, raises):
+        # Triangular solves that scale their result by 1 + delta leave the
+        # normal equations a residual of about 2 delta ||b||, which the
+        # guard at 1e-10 ||b|| passes at delta = 1e-12 and refuses at 1e-9.
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solve(a, b) * (1.0 + perturbation))
+        samples = equispaced_samples(np.cos, 400)
+        if not raises:
+            fit(samples, 10)
+            return
+        with pytest.raises(SolverError, match=r"normal-equation residual \S+ exceeds "
+                                              r"tolerance \(M=10, N=400\)"):
+            fit(samples, 10)
 
     def test_naive_chebyshev_matches_fast(self, dense_fit):
         samples = equispaced_samples(lambda x: np.exp(x), 256)
