@@ -4,8 +4,8 @@ plateaus, and Gram-assembly timings.
 Randomness goes through numpy's PCG64 generator with an explicit seed (the
 noise plateau's argument, 0 for the timing samples), so every table but the
 timings is pinned bit-for-bit. Timing runs are not single-threaded:
-`rhs`'s panel products are BLAS `np.matmul` calls, which may run on as
-many threads as the BLAS library allows (OPENBLAS_NUM_THREADS for
+`rhs`'s panel and merge products are BLAS `np.matmul` calls, which may run
+on as many threads as the BLAS library allows (OPENBLAS_NUM_THREADS for
 OpenBLAS); the naive Gram is sequential numpy reductions.
 """
 

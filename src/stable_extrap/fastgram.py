@@ -10,16 +10,19 @@ coefficients: O(M) numbers and O(M^2) assembly, independent of N.
 
 The right-hand side b_m = sum_k y_k T_m(x_k) is the one O(MN) step. The
 grid is a union of translates of one set of local nodes, so rhs moves each
-panel of w samples onto K = M+1 Chebyshev proxies with one fixed w x K
+panel of w samples onto K_leaf Chebyshev proxies with one fixed w x K_leaf
 matrix of Lagrange cardinal values (the anterpolation step of fast
-multipole and NUFFT-type methods), which is exact for the degree-M
-polynomials a panel carries: one BLAS product per block of panels and side
-of the grid's mirror, the left side a view of the samples and the right one
-a reversed copy in a buffer of one block, at shapes fixed by w, about NK
-multiply-adds. One level up, one fixed matrix moves the proxies of each
-group of G panels onto K proxies of their union (the upward pass of the
-fast multipole method), so the three-term recurrence runs over only K
-proxies per G panels.
+multipole and NUFFT-type methods). A panel is short on the scale of T_M,
+so the degree-M polynomials it carries need far fewer than K = M+1
+proxies: K_leaf comes from a Bernstein-ellipse bound on their coefficient
+tail, below 1e-17, and is 16 at (N, M) = (4e6, 27). It takes one BLAS
+product per block of panels and side of the grid's mirror, the left side a
+view of the samples and the right one a reversed copy in a buffer of one
+block, at shapes fixed by w and K_leaf, about N K_leaf multiply-adds. One
+level up, one fixed matrix moves the K_leaf proxies of each of a group of
+G panels onto K proxies of their union, exactly for degree M (the upward
+pass of the fast multipole method), so the three-term recurrence runs over
+only K proxies per G panels.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ _PANEL_ENTRIES = 65536
 # count (see rhs).
 _PRODUCT_POINTS = 16384
 _MERGE_ROWS = 4
+# rhs: how far a panel's proxies may miss each T_m, m <= M, on the panel (a
+# tenth of double's unit roundoff; _leaf_size).
+_LEAF_TAIL = 1e-17
 
 # B_{s+1}/(s+1)! for the odd correction orders s; even-order corrections
 # vanish identically. Under M <= sqrt(N)/2 each factor (k^2 - l^2)/(N(l+1/2))
@@ -143,16 +149,53 @@ def _panel_width(n_coeffs: int) -> int:
     return 1 << (cap.bit_length() - 1)
 
 
-def _group_size(n_coeffs: int) -> int:
-    """Largest power of two G with G K^2 <= _PANEL_ENTRIES: 4 at K = 126,
-    32 at K = 36 and 64 at K = 28, so the G K x K merge matrix is at most
-    512 KB. At K = 1 (M = 0) it is 1: there the recurrence is one sum, which
-    a merge cannot shorten, and a merge product would be a dot product of
-    65536 terms, whose bits OpenBLAS 0.3.31 changed under two threads."""
+def _leaf_size(m_degree: int, n: int, width: int) -> int:
+    """K_leaf, the proxies a panel of `width` points needs at degree M on
+    the N-point grid: the Bernstein-ellipse bound's count rounded up to a
+    power of two, and at most K = M+1.
+
+    On a panel x = c + delta t, delta = w/N, |c| <= 1, let t lie in
+    Bernstein's ellipse E_rho, where |t| <= (rho + 1/rho)/2. Then
+    |x - 1| + |x + 1| <= 2 + e with e = delta (rho + 1/rho), so x lies inside
+    the ellipse with foci +-1 of parameter R = 1 + e/2 + sqrt(e + e^2/4),
+    where |T_m(x)| <= R^m. So the Chebyshev interpolant of
+    q = T_m(c + delta t), m <= M, in K_leaf points of t misses q by at most
+    4 R^M rho^(1-K_leaf)/(rho-1), twice the bound on its coefficient tail
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 8.2).
+    The count is the fewest K_leaf that bring that below _LEAF_TAIL at one
+    of rho = 2, 4, ..., 1024. The bound holds on every panel, so on the
+    first compressed one, next to x = -1, where the coefficients fall
+    slowest. It gives sum_i s_i q(t_i) = sum_k nu_k q(tau_k) to within
+    _LEAF_TAIL sum|s|, and sum|s| <= sum|y|.
+
+    Each term falls as N grows (delta shrinks), so K_leaf is non-increasing
+    in N; rho <= 1024 keeps the count at 6 or more, and the powers of two leave
+    at most {8, 16, 32, 64} below each K, so the shapes rhs can issue are
+    few enough to test every one. K_leaf is 16 at (N, M) = (4e6, 27) and
+    (1e6, 35), and 32 at (62500, 125)."""
+    rho = 2.0 ** np.arange(1, 11)
+    e = width / n * (rho + 1.0 / rho)
+    log_r = np.log1p(0.5 * e + np.sqrt(e + 0.25 * e * e))
+    need = 1.0 + (m_degree * log_r - np.log(0.25 * (rho - 1.0) * _LEAF_TAIL)) / np.log(rho)
+    return min(m_degree + 1, 1 << (int(np.ceil(need.min())) - 1).bit_length())
+
+
+def _group_size(n_leaf: int, n_coeffs: int) -> int:
+    """Largest power of two G with G K_leaf K <= _PANEL_ENTRIES: 128 at
+    (K_leaf, K) = (16, 28), 64 at (16, 36) and 16 at (32, 126), so the
+    G K_leaf x K merge matrix is at most 512 KB. At K = 1 (M = 0) it is 1:
+    there the recurrence is one sum, which a merge cannot shorten, and a
+    merge product would be a dot product of 65536 terms, whose bits
+    OpenBLAS 0.3.31 changed under two threads."""
     if n_coeffs == 1:
         return 1
-    cap = _PANEL_ENTRIES // (n_coeffs * n_coeffs)
+    cap = _PANEL_ENTRIES // (n_leaf * n_coeffs)
     return 1 << (cap.bit_length() - 1)
+
+
+def _chebyshev_points(n_coeffs: int) -> np.ndarray:
+    """The K Chebyshev points tau_k = cos((k+1/2)pi/K), k = 0..K-1."""
+    return np.cos((np.arange(n_coeffs) + 0.5) * np.pi / n_coeffs)
 
 
 def _cardinal_values(n_coeffs: int, t: np.ndarray) -> np.ndarray:
@@ -172,33 +215,36 @@ def _cardinal_values(n_coeffs: int, t: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _panel_operators(n_coeffs: int, width: int):
-    """The fixed, read-only matrices of a panel of `width` points and K = M+1
-    proxies, cached per (K, w).
+def _panel_operators(n_leaf: int, width: int):
+    """The fixed, read-only matrices of a panel of `width` points and
+    K_leaf proxies, cached per (K_leaf, w).
 
-    Returns (lam, tau): the K Chebyshev points tau_k = cos((k+1/2)pi/K) and
-    the C-contiguous w x K anterpolation matrix lam[i, k] = l_k(t_i)
+    Returns (lam, tau): the K_leaf Chebyshev points tau_k (_chebyshev_points)
+    and the C-contiguous w x K_leaf anterpolation matrix lam[i, k] = l_k(t_i)
     (_cardinal_values) at the local nodes t_i = (2i - (w-1))/w.
     """
-    tau = np.cos((np.arange(n_coeffs) + 0.5) * np.pi / n_coeffs)
+    tau = _chebyshev_points(n_leaf)
     t = (2.0 * np.arange(width) - (width - 1)) / width  # exact in binary
-    lam = _cardinal_values(n_coeffs, t)
+    lam = _cardinal_values(n_leaf, t)
     lam.flags.writeable = tau.flags.writeable = False
     return lam, tau
 
 
 @lru_cache(maxsize=8)
-def _merge_operator(n_coeffs: int, group: int) -> np.ndarray:
-    """The fixed, read-only G K x K matrix that moves the proxy weights of G
-    adjacent panels onto the K proxies of their union, cached per (K, G).
+def _merge_operator(n_leaf: int, n_coeffs: int, group: int) -> np.ndarray:
+    """The fixed, read-only G K_leaf x K matrix that moves the proxy weights
+    of G adjacent panels, K_leaf each, onto the K proxies of their union,
+    cached per (K_leaf, K, G).
 
     In the union's coordinate u, panel j's proxy k sits at
-    u_{j,k} = (2j + 1 - G + tau_k)/G, and row jK + k of the matrix holds
-    l_k'(u_{j,k}) (_cardinal_values). It is the anterpolation of
-    _panel_operators one level up, the upward pass of the fast multipole
-    method, and exact in real arithmetic for polynomials of degree <= M.
+    u_{j,k} = (2j + 1 - G + tau_k)/G, with tau_k the K_leaf points of
+    _panel_operators, and row j K_leaf + k of the matrix holds l_k'(u_{j,k})
+    for the K Chebyshev points of the union (_cardinal_values). It is the
+    anterpolation of _panel_operators one level up, the upward pass of the
+    fast multipole method, and exact in real arithmetic for polynomials of
+    degree <= M.
     """
-    tau = np.cos((np.arange(n_coeffs) + 0.5) * np.pi / n_coeffs)
+    tau = _chebyshev_points(n_leaf)
     u = ((2.0 * np.arange(group) + (1 - group))[:, None] + tau) / group
     merge = _cardinal_values(n_coeffs, u.reshape(-1))
     merge.flags.writeable = False
@@ -223,7 +269,7 @@ def _proxy_weights(left: np.ndarray, right: np.ndarray, lam: np.ndarray,
 
 
 def _merge_weights(nu: np.ndarray, merge: np.ndarray, mu: np.ndarray):
-    """mu[a, q] = nu[a, qG:(q+1)G] (G K weights in a row) @ merge for each
+    """mu[a, q] = nu[a, qG:(q+1)G] (G K_leaf weights in a row) @ merge for each
     parity a and group q, in BLAS products of at most _MERGE_ROWS groups."""
     for a in range(2):
         rows = nu[a].reshape(-1, merge.shape[0])
@@ -234,7 +280,7 @@ def _merge_weights(nu: np.ndarray, merge: np.ndarray, mu: np.ndarray):
 def _proxies(nu: np.ndarray, lo: int, width: int, n: int, tau: np.ndarray):
     """The points and the even and odd weights of the proxies of consecutive
     spans of `width` points from point lo on, as _parity_sums takes them:
-    span j's K proxies sit at c_j + (width/N) tau, with
+    span j's len(tau) proxies sit at c_j + (width/N) tau, with
     c_j = (2 lo + (2j + 1) width - 1)/N - 1, and the weights nu[0, j] and
     nu[1, j]."""
     j = np.arange(nu.shape[1])
@@ -271,17 +317,21 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     with the same local nodes t_i = (2i - (w-1))/w in every panel (w is a
     power of two, at most 2048 and at most 65536/K with K = M+1, so the t_i
     are exact). On a panel each T_m, m <= M, is a polynomial q of degree
-    <= M in t, so q = sum_k q(tau_k) l_k over the K Chebyshev points tau_k
-    and their Lagrange cardinal polynomials l_k, and sum_i s_i q(t_i) =
-    sum_k nu_k q(tau_k) exactly in real arithmetic, with the proxy weights
-    nu_k = sum_i s_i l_k(t_i), a row of samples times the fixed w x K matrix
-    lam (_panel_operators). So the w points of a panel become K proxies
-    z = c_p + (w/N) tau_k, and the recurrence runs over the proxies only.
-    The weights are linear in the samples, so s and d are never formed for a
-    whole panel, one whose points all have 2k < N: a block of P such panels
-    is one (P x w) view of y, its mirror images y_{N-k} in the same order a
-    second, and _proxy_weights takes one BLAS product of each against lam
-    and folds only the PK weights. The mirror images are copied into a
+    <= M in t, and q = sum_k q(tau_k) l_k + r over K_leaf Chebyshev points
+    tau_k and their Lagrange cardinal polynomials l_k, where the remainder
+    r is at most _LEAF_TAIL = 1e-17 on the panel (_leaf_size: a
+    Bernstein-ellipse bound, so r = 0 at K_leaf = K = M+1, and K_leaf = 16
+    at (N, M) = (4e6, 27) and (1e6, 35) and 32 at (62500, 125)). So
+    sum_i s_i q(t_i) = sum_k nu_k q(tau_k) to within 1e-17 sum|s| in real
+    arithmetic, with the proxy weights nu_k = sum_i s_i l_k(t_i), a row of
+    samples times the fixed w x K_leaf matrix lam (_panel_operators), and
+    the w points of a panel become K_leaf proxies z = c_p + (w/N) tau_k;
+    the recurrence runs over the proxies only. The weights are linear in
+    the samples, so s and d are never formed for a whole panel, one whose
+    points all have 2k < N: a block of P such panels is one (P x w) view of
+    y, its mirror images y_{N-k} in the same order a second, and
+    _proxy_weights takes one BLAS product of each against lam and folds
+    only the P K_leaf weights. The mirror images are copied into a
     buffer of one block, so that both products sum the same terms in the
     same order and mirrored (antisymmetric) samples keep the odd (even)
     entries of b exactly zero, as the parity of the fit needs; a product of
@@ -289,15 +339,16 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     about 1e-18 sum|y|.
 
     One level up, each group of G adjacent compressed panels (_group_size:
-    4 at K = 126, 64 at K = 28) moves its G K proxy weights onto the K
-    Chebyshev proxies of its span in the same way, with one fixed G K x K
-    matrix (_merge_operator): the upward pass of the fast multipole method
-    (Greengard and Rokhlin, 1987), exact for the degree-M polynomials a
-    group carries. The fewer than G panels past the last whole group keep
-    their own proxies. The cost is about NK multiply-adds for the panels, a
-    copy of N/2 samples, G K^2 per group for the merge, and about
-    M(NK/(2Gw) + 2w + GK) for the recurrence, which runs over 2,421 points
-    at (N, M) = (62500, 125) and 4,041 at (4e6, 27). A span of W = w or Gw
+    16 at (K_leaf, K) = (32, 126), 128 at (16, 28)) moves its G K_leaf
+    proxy weights onto the K Chebyshev proxies of its span in the same way,
+    with one fixed G K_leaf x K matrix (_merge_operator): the upward pass of
+    the fast multipole method (Greengard and Rokhlin, 1987), exact for the
+    degree-M polynomials a group carries. The fewer than G panels past the
+    last whole group keep their K_leaf proxies. The cost is about N K_leaf
+    multiply-adds for the panels, a copy of N/2 samples, G K_leaf K per
+    group for the merge, and about M(NK/(2Gw) + 2w + G K_leaf) for the
+    recurrence, which runs over 1,293 points at (N, M) = (62500, 125) and
+    4,661 at (4e6, 27). A span of W = w or Gw
     points from point lo has its proxies at the grid's positions 2k/N - 1,
     each formed as ((2 lo + W - 1) + W tau_k)/N - 1 (W tau_k is exact)
     rather than as the sum of a rounded centre and (W/N) tau_k.
@@ -319,22 +370,25 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     its own proxy and the same recurrence runs over blocks of _CHUNK points.
 
     Each product holds at most _PRODUCT_POINTS / w panels, whatever _CHUNK is,
-    and the weights are merged and summed in batches of about _CHUNK / K
+    and the weights are merged and summed in batches of about _CHUNK / K_leaf
     panels, a whole number of groups (at least one, or every compressed
     panel when there are fewer than G), so that no group straddles two
     batches. So the extra space is
-    O(_CHUNK + _PRODUCT_POINTS + Kw + GK^2), under 2 MB, besides the panel
-    and merge operators, cached per (K, w) and (K, G). The products are the
-    one use of BLAS, whose bits can depend on the thread count. On OpenBLAS
-    0.3.31 a (P x w) @ (w x K) panel product gave other bits under two
-    threads than under one once P >= 33, at K = 36 (w = 1024) and at K = 101
-    and 126 (w = 512). A (Q x GK) @ (GK x K) merge product did so once
-    Q >= 16 groups, at K = 63, 89, 90, 126 and 127 (about 2^20
-    multiply-adds), and never at Q < 16 over every K = 2..128 and Q <= 48;
-    so a merge product holds at most _MERGE_ROWS = 4 groups, a quarter of
-    that. The shapes are fixed by w, G, _PRODUCT_POINTS and _MERGE_ROWS, and
-    the tests pin the bits of all 2,816 panel and 512 merge shapes under each
-    thread count they run. Every other product and reduction is numpy's own
+    O(_CHUNK + _PRODUCT_POINTS + K_leaf w + G K_leaf K), under 2 MB, besides
+    the panel and merge operators, cached per (K_leaf, w) and (K_leaf, K, G).
+    The products are the one use of BLAS, whose bits can depend on the
+    thread count. On OpenBLAS 0.3.31 a (P x w) @ (w x K) panel product gave
+    other bits under two threads than under one once P >= 33, at K = 36
+    (w = 1024) and at K = 101 and 126 (w = 512). A (Q x GK) @ (GK x K)
+    merge product did so once Q >= 16 groups, at K = 63, 89, 90, 126 and
+    127 (about 2^20 multiply-adds), and never at Q < 16 over every
+    K = 2..128 and Q <= 48; so a merge product holds at most _MERGE_ROWS = 4
+    groups, a quarter of that. The shapes are fixed by w, K_leaf, G,
+    _PRODUCT_POINTS and _MERGE_ROWS; K_leaf is K or a power of two, and
+    non-increasing in N, so rhs can issue 68 (w, K_leaf) pairs and 390
+    (K_leaf, K) pairs, and the tests pin the bits of all 880 panel and 1,560
+    merge shapes they give (and of the 2,816 panel shapes at K_leaf = K)
+    under each thread count they run. Every other product and reduction is numpy's own
     single-threaded einsum (or np.sum) in a fixed order, so the bits do not
     depend on the number of BLAS threads.
 
@@ -362,9 +416,11 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
             b += _parity_sums(x[lo:lo + count], s[:count], d[:count], m_degree)
         return b
 
-    lam, tau = _panel_operators(k, w)
-    group = _group_size(k)
-    merge = _merge_operator(k, group)
+    leaf = _leaf_size(m_degree, n, w)
+    lam, tau_leaf = _panel_operators(leaf, w)
+    group = _group_size(leaf, k)
+    merge = _merge_operator(leaf, k, group)
+    tau = _chebyshev_points(k)
     tail = whole * w
     # The points that are their own proxies, with their s and d: the first
     # panel, at x = -1, and those past the last whole panel.
@@ -375,10 +431,10 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
     rows = _PRODUCT_POINTS // w  # panels per product
     # panels per proxy sum: whole groups, so that none straddles two sums,
     # unless fewer than G panels are whole
-    batch = min(whole - 1, group * max(1, min(_CHUNK // k, whole - 1) // group))
+    batch = min(whole - 1, group * max(1, min(_CHUNK // leaf, whole - 1) // group))
     mirror = np.empty((rows, w))
-    scratch = np.empty((2, rows, k))
-    nu = np.empty((2, batch, k))
+    scratch = np.empty((2, rows, leaf))
+    nu = np.empty((2, batch, leaf))
     mu = np.empty((2, batch // group, k))
     b = np.zeros(k)
     for first in range(1, whole, batch):
@@ -392,7 +448,7 @@ def rhs(grid: Grid, samples, m_degree: int) -> np.ndarray:
         merged = groups * group
         _merge_weights(nu[:, :merged], merge, mu[:, :groups])
         spans = (_proxies(mu[:, :groups], first * w, group * w, n, tau),
-                 _proxies(nu[:, merged:stop - first], (first + merged) * w, w, n, tau))
+                 _proxies(nu[:, merged:stop - first], (first + merged) * w, w, n, tau_leaf))
         if stop < whole:
             b += _parity_sums(*map(np.concatenate, zip(*spans)), m_degree)
     # The last sum's proxies join the points that are their own proxies in

@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,17 +61,73 @@ def long_double_rhs(grid, ys, m_deg):
     return ref
 
 
-def assert_near_long_double(n, m_deg):
+def assert_near_long_double(n, m_deg, ones=False):
     """rhs within 1e-14 sum|y| of long_double_rhs on the N-point grid, for
     Gaussian y and for y = +-1 (random signs) only at |x| > 0.99, where the
-    recurrence rounds worst, both drawn from the seed N."""
+    recurrence rounds worst, both drawn from the seed N, and with `ones`
+    for y = 1 too."""
     grid = make_grid(GridKind.EQUISPACED, n)
     rng = np.random.default_rng(n)
     signs = rng.choice([-1.0, 1.0], size=n + 1)
     ys = (rng.normal(size=n + 1), np.where(np.abs(grid.points) > 0.99, signs, 0.0))
+    if ones:
+        ys += (np.ones(n + 1),)
     for y, ref in zip(ys, long_double_rhs(grid, ys, m_deg)):
         err = np.max(np.abs(rhs(grid, y, m_deg) - ref))
         assert err <= 1e-14 * np.sum(np.abs(y)), (n, m_deg, float(err))
+
+
+def first_compressed_n(k):
+    """The smallest N at which rhs compresses at K = M+1: N >= 4M^2 and at
+    least two whole panels, N + 1 >= 4w."""
+    return max(4 * (k - 1) ** 2, 4 * fastgram._panel_width(k) - 1)
+
+
+def leaf_sizes(k):
+    """Every K_leaf rhs can issue at K = M+1, whatever N: _leaf_size is
+    non-increasing in N and K or a power of two (both tested), so it lies
+    in those values between its value at N -> infinity and at the smallest
+    N at which rhs compresses."""
+    w = fastgram._panel_width(k)
+    most = fastgram._leaf_size(k - 1, first_compressed_n(k), w)
+    fewest = fastgram._leaf_size(k - 1, 2 ** 62, w)
+    return sorted({v for v in (k, *(1 << j for j in range(8))) if fewest <= v <= most})
+
+
+def compressed_leaf_pairs():
+    """(w, K_leaf, K) for every K = M+1 that compresses (w >= 4K) and every
+    K_leaf that rhs can issue there."""
+    k, pairs = 1, []
+    while (w := fastgram._panel_width(k)) >= 4 * k:
+        pairs += [(w, leaf, k) for leaf in leaf_sizes(k)]
+        k += 1
+    return pairs
+
+
+def mpmath_leaf_size(m_deg, n, w, target=1e-17):
+    """Oracle: the fewest Chebyshev proxies K_p such that twice the
+    coefficient tail sum_{j >= K_p} |a_j| of every T_m(c + delta t), m <= M,
+    in the panel's own variable t is at most `target`, on the first
+    compressed panel, points w .. 2w-1 (centre c = (3w-1)/N - 1, delta =
+    w/N), in 40-digit mpmath. The coefficients come from
+    T_{m+1} = 2(c + delta t) T_m - T_{m-1} with t T_j = (T_{j+1} + T_|j-1|)/2."""
+    with mpmath.workdps(40):
+        c, delta = mpmath.mpf(3 * w - 1) / n - 1, mpmath.mpf(w) / n
+        tails = [mpmath.mpf(0)] * (m_deg + 2)  # tails[j]: largest tail from j
+        prev, cur = [mpmath.mpf(1)], [c, delta]
+        for _ in range(m_deg + 1):
+            total = mpmath.mpf(0)
+            for j in range(len(prev) - 1, -1, -1):
+                total += abs(prev[j])
+                tails[j] = max(tails[j], total)
+            step = [2 * c * a for a in cur] + [mpmath.mpf(0)]
+            for j, a in enumerate(cur):
+                step[j + 1] += delta * a
+                step[abs(j - 1)] += delta * a
+            for j, a in enumerate(prev):
+                step[j] -= a
+            prev, cur = cur, step
+        return next(j for j in range(1, m_deg + 2) if 2 * tails[j] <= target)
 
 
 def long_double_chebyshev(z, m_deg):
@@ -413,36 +470,70 @@ class TestRhs:
         assert outputs[0].split()[0] == b"2816"
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_leaf_product_bits_independent_of_blas_threads(
+            self, outputs_per_blas_thread_count):
+        """The sibling of the test above for the leaf operators rhs uses:
+        _proxy_weights's two BLAS products, left @ lam and mirror @ lam,
+        and lam = _panel_operators(K_leaf, w) itself, have the same bits
+        under OPENBLAS_NUM_THREADS 1, 2 and 4 at every (w, K_leaf) rhs can
+        issue (leaf_sizes) and each block of P = 1 .. _PRODUCT_POINTS // w
+        panels."""
+        shapes = sorted({(w, leaf) for w, leaf, _ in compressed_leaf_pairs()})
+        script = (
+            "import hashlib, numpy as np\n"
+            "from stable_extrap import fastgram\n"
+            "digest, count = hashlib.sha1(), 0\n"
+            "rng = np.random.default_rng(0)\n"
+            f"for w, leaf in {shapes!r}:\n"
+            "    lam, _ = fastgram._panel_operators(leaf, w)\n"
+            "    digest.update(lam.tobytes())\n"
+            "    rows = fastgram._PRODUCT_POINTS // w\n"
+            "    left, right, mirror = rng.normal(size=(3, rows, w))\n"
+            "    scratch, nu = np.empty((2, 2, rows, leaf))\n"
+            "    for p in range(1, rows + 1):\n"
+            "        fastgram._proxy_weights(left[:p], right[:p, ::-1], lam,\n"
+            "                                mirror[:p], scratch[:, :p], nu[:, :p])\n"
+            "        digest.update(scratch[:, :p].tobytes() + nu[:, :p].tobytes())\n"
+            "        count += 1\n"
+            "print(count, digest.hexdigest())\n"
+        )
+        outputs = outputs_per_blas_thread_count(script, ("1", "2", "4"))
+        # K_leaf = 1..32 at w = 2048, 8, 16, 32 and 35..64 at 1024, and 8,
+        # 16 and 32 at 512.
+        assert len(shapes) == 68
+        assert outputs[0].split()[0] == b"880"
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_merge_product_bits_independent_of_blas_threads(
             self, outputs_per_blas_thread_count):
-        """_merge_weights's BLAS products, (Q x GK) @ (GK x K), and the merge
-        matrix itself, have the same bits under OPENBLAS_NUM_THREADS 1, 2
-        and 4 at every shape rhs can issue: each K = M+1 that compresses,
-        its G, and each Q = 1 .. _MERGE_ROWS groups per product, for both
-        parities."""
+        """_merge_weights's BLAS products, (Q x G K_leaf) @ (G K_leaf x K),
+        and the merge matrix itself, have the same bits under
+        OPENBLAS_NUM_THREADS 1, 2 and 4 at every shape rhs can issue: each
+        K = M+1 that compresses, each K_leaf rhs can issue there
+        (leaf_sizes), their G, and each Q = 1 .. _MERGE_ROWS groups per
+        product, for both parities."""
+        pairs = [(leaf, k) for _, leaf, k in compressed_leaf_pairs()]
         script = (
             "import hashlib, numpy as np\n"
             "from stable_extrap import fastgram\n"
             "digest, shapes = hashlib.sha1(), 0\n"
             "rng = np.random.default_rng(0)\n"
-            "k = 1\n"
-            "while fastgram._panel_width(k) >= 4 * k:\n"
-            "    group = fastgram._group_size(k)\n"
-            "    merge = fastgram._merge_operator(k, group)\n"
+            f"for leaf, k in {pairs!r}:\n"
+            "    group = fastgram._group_size(leaf, k)\n"
+            "    merge = fastgram._merge_operator(leaf, k, group)\n"
             "    digest.update(merge.tobytes())\n"
             "    rows = fastgram._MERGE_ROWS\n"
-            "    nu = rng.normal(size=(2, rows * group, k))\n"
+            "    nu = rng.normal(size=(2, rows * group, leaf))\n"
             "    mu = np.empty((2, rows, k))\n"
             "    for q in range(1, rows + 1):\n"
             "        fastgram._merge_weights(nu[:, :q * group], merge, mu[:, :q])\n"
             "        digest.update(mu[:, :q].tobytes())\n"
             "        shapes += 1\n"
-            "    k += 1\n"
             "print(shapes, digest.hexdigest())\n"
         )
         outputs = outputs_per_blas_thread_count(script, ("1", "2", "4"))
-        # K = 1..128, four heights each.
-        assert outputs[0].split()[0] == b"512"
+        # 390 (K_leaf, K) pairs, four heights each.
+        assert outputs[0].split()[0] == b"1560"
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_panel_operators_cached_read_only(self):
@@ -472,32 +563,96 @@ class TestRhs:
         cheb_t, cheb_tau = (long_double_chebyshev(z, n_coeffs - 1) for z in (t, tau))
         assert np.max(np.abs(exact @ cheb_tau - cheb_t)) <= 3e-13
 
+    def test_leaf_anterpolation_matrix(self):
+        """The checks of the test above at every (w, K_leaf) rhs can issue
+        (leaf_sizes), with its bounds: lam = _panel_operators(K_leaf, w)
+        has rows that sum to 1, and lam T(tau) reproduces T_l(t_i) for
+        every l < K_leaf, both against long-double references."""
+        for w, leaf in sorted({(w, leaf) for w, leaf, _ in compressed_leaf_pairs()}):
+            lam, tau = fastgram._panel_operators(leaf, w)
+            assert lam.shape == (w, leaf) and lam.flags.c_contiguous
+            exact = lam.astype(np.longdouble)
+            assert np.max(np.abs(exact.sum(axis=1) - 1)) <= 1e-13, (w, leaf)
+            t = (2.0 * np.arange(w) - (w - 1)) / w
+            cheb_t, cheb_tau = (long_double_chebyshev(z, leaf - 1) for z in (t, tau))
+            assert np.max(np.abs(exact @ cheb_tau - cheb_t)) <= 3e-13, (w, leaf)
+
     def test_merge_operator(self):
-        """The G K x K merge matrix holds l_k'(u_{j,k}), the cardinal
+        """The G K_leaf x K merge matrix holds l_k'(u_{j,k}), the cardinal
         polynomials of the K Chebyshev points at the child proxies
-        u_{j,k} = (2j + 1 - G + tau_k)/G of G adjacent panels, for every
-        K = M+1 that compresses, at G from _group_size: each row sums to 1,
-        and merge T(tau) reproduces T_l(u_{j,k}) for every l <= M, both
-        against long-double references. The largest errors were 4.8e-14
-        (row sums, K = 120) and 6.3e-13 (T_l, K = 114); the bounds leave
-        about 2x. It is cached and read-only."""
-        k, widths = 1, set()
-        while (w := fastgram._panel_width(k)) >= 4 * k:
-            group = fastgram._group_size(k)
-            assert group * k * k <= fastgram._PANEL_ENTRIES < 2 * group * k * k or k == 1
-            merge = fastgram._merge_operator(k, group)
-            assert fastgram._merge_operator(k, group) is merge
-            assert merge.shape == (group * k, k) and not merge.flags.writeable
-            tau = fastgram._panel_operators(k, w)[1]
-            u = ((2.0 * np.arange(group) + (1 - group))[:, None] + tau) / group
+        u_{j,k} = (2j + 1 - G + tau_k)/G of G adjacent panels, tau_k the
+        K_leaf Chebyshev points, for every K = M+1 that compresses and every
+        K_leaf rhs can issue there (leaf_sizes), at G from _group_size: each
+        row sums to 1, and merge T(tau) reproduces T_l(u_{j,k}) for every
+        l <= M, both against long-double references. merge T(tau) is a
+        float64 product of merge and T(tau) rounded from long double, whose
+        errors are at most K eps |merge| |T(tau)| (the product's rounding)
+        and eps |merge| |T(tau)| (T(tau)'s): both are added to the measured
+        error, so the bound holds for the long-double product too. The
+        largest errors were 4.9e-14 (row sums, (K_leaf, K) = (32, 120)) and
+        5.2e-13 (T_l, (32, 114), 5.1e-13 by a long-double product); the
+        bounds leave 2x or more. It is cached and read-only."""
+        eps = np.finfo(float).eps
+        pairs, widths = compressed_leaf_pairs(), set()
+        for w, leaf, k in pairs:
+            group = fastgram._group_size(leaf, k)
+            assert group * leaf * k <= fastgram._PANEL_ENTRIES < 2 * group * leaf * k or k == 1
+            merge = fastgram._merge_operator(leaf, k, group)
+            assert fastgram._merge_operator(leaf, k, group) is merge
+            assert merge.shape == (group * leaf, k) and not merge.flags.writeable
+            tau = fastgram._chebyshev_points(k)
+            u = ((2.0 * np.arange(group) + (1 - group))[:, None]
+                 + fastgram._chebyshev_points(leaf)) / group
             exact = merge.astype(np.longdouble)
-            assert np.max(np.abs(exact.sum(axis=1) - 1)) <= 1e-13, k
-            cheb_u, cheb_tau = (long_double_chebyshev(z, k - 1) for z in (u.reshape(-1), tau))
-            assert np.max(np.abs(exact @ cheb_tau - cheb_u)) <= 1.3e-12, k
+            assert np.max(np.abs(exact.sum(axis=1) - 1)) <= 1e-13, (leaf, k)
+            cheb_u = long_double_chebyshev(u.reshape(-1), k - 1)
+            cheb_tau = long_double_chebyshev(tau, k - 1).astype(float)
+            rounding = (k + 1) * eps * (np.abs(merge) @ np.abs(cheb_tau))
+            err = np.abs(merge @ cheb_tau - cheb_u) + rounding
+            assert np.max(err) <= 1.3e-12, (leaf, k)
             widths.add(w)
+        assert pairs[-1][2] == 128 and widths == {512, 1024, 2048} and len(pairs) == 390
+        assert [fastgram._group_size(leaf, k) for leaf, k in (
+            (1, 1), (28, 28), (36, 36), (126, 126), (16, 28), (16, 36), (32, 126))] == [
+                1, 64, 32, 4, 128, 64, 16]
+
+    def test_leaf_size_rule(self):
+        """_leaf_size is K = M+1 or a power of two below K, non-increasing in
+        N from the smallest N at which rhs compresses on, for every K that
+        compresses, and at the benchmark's shapes it is 16, 16 and 32."""
+        k = 1
+        while (w := fastgram._panel_width(k)) >= 4 * k:
+            first = first_compressed_n(k)
+            sizes = [fastgram._leaf_size(k - 1, n, w) for n in sorted(
+                {first, first + 1, first + 2, *np.unique(np.geomspace(first, 2 ** 62, 200)
+                                                         .astype(np.int64)).tolist()})]
+            assert all(a >= b for a, b in zip(sizes, sizes[1:])), k
+            assert all(v == k or (v < k and v & (v - 1) == 0) for v in sizes), k
+            assert set(sizes) <= set(leaf_sizes(k)), k
             k += 1
-        assert k == 129 and widths == {512, 1024, 2048}
-        assert [fastgram._group_size(k) for k in (1, 28, 36, 126)] == [1, 64, 32, 4]
+        assert [fastgram._leaf_size(m, n, fastgram._panel_width(m + 1)) for n, m in (
+            (4_000_000, 27), (1_000_000, 35), (62_500, 125))] == [16, 16, 32]
+
+    @pytest.mark.parametrize("m_deg", [5, 27, 31, 32, 35, 47, 63, 64, 100, 125, 127])
+    def test_leaf_size_against_mpmath(self, m_deg):
+        """_leaf_size never gives fewer proxies than the 40-digit truth
+        (mpmath_leaf_size: twice the coefficient tail of every T_m, m <= M,
+        at most 1e-17, the target _leaf_size states) on the first
+        compressed panel, at N = 4M^2, 4M^2 + 1 and 16M^2 where rhs
+        compresses there, at the smallest N at which it does and one past
+        it, and at the benchmark's shapes, where the truth is 9, 11 and 27
+        proxies."""
+        k = m_deg + 1
+        w = fastgram._panel_width(k)
+        first = first_compressed_n(k)
+        sizes = {4 * m_deg ** 2, 4 * m_deg ** 2 + 1, 16 * m_deg ** 2, first, first + 1}
+        shapes = [n for n in sorted(sizes) if n >= first]
+        shapes += {27: [4_000_000], 35: [1_000_000], 125: [62_500]}.get(m_deg, [])
+        for n in shapes:
+            truth = mpmath_leaf_size(m_deg, n, w)
+            assert fastgram._leaf_size(m_deg, n, w) >= truth, (n, truth)
+            if n in (4_000_000, 1_000_000, 62_500):
+                assert truth == {27: 9, 35: 11, 125: 27}[m_deg]
 
     @pytest.mark.parametrize("n, m_deg", [(4_000_000, 27), (62_500, 125), (1_000_000, 35)])
     def test_extra_memory_bounded(self, n, m_deg):
@@ -563,6 +718,17 @@ class TestRhs:
         for m_deg in (31, 32, 63, 64, 127, 128):
             for n in (4 * m_deg ** 2, 4 * m_deg ** 2 + 1, 16 * m_deg ** 2):
                 assert_near_long_double(n, m_deg)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than float64 here")
+    @pytest.mark.parametrize("n, m_deg", [(4_000_000, 27), (1_000_000, 35), (62_500, 125)])
+    def test_matches_long_double_recurrence_at_benchmark_shapes(self, n, m_deg):
+        """The bound of the Hypothesis test above at the benchmark's shapes,
+        where the leaves carry K_leaf = 16, 16 and 32 proxies, for Gaussian
+        y, for y = +-1 only at |x| > 0.99 and for y = 1: with 5 proxies a
+        leaf put b 1.3e-14 sum|y| from the truth for y = 1 at (4e6, 27)."""
+        assert fastgram._leaf_size(m_deg, n, fastgram._panel_width(m_deg + 1)) < m_deg + 1
+        assert_near_long_double(n, m_deg, ones=True)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                         reason="long double is no wider than float64 here")
